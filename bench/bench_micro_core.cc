@@ -77,7 +77,7 @@ void BM_Nsga2PlanSearch(benchmark::State& state) {
     const double cost = x[0] * x[2] + x[1] * x[3];
     const double thr = x[0] / (0.1 + 0.01 * x[0] / (x[1] * x[3]) +
                                0.48 / x[2] + 0.2 / x[1]);
-    return std::vector<double>{cost, 1.0 / std::max(1.0, thr)};
+    return Objectives{cost, 1.0 / std::max(1.0, thr)};
   };
   for (auto _ : state) {
     Nsga2 nsga2(bounds, objective, options);
@@ -86,6 +86,28 @@ void BM_Nsga2PlanSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Nsga2PlanSearch)->Args({32, 20})->Args({48, 40});
+
+// The sort alone at the sizes Run() hands it (2x the 32 and 48 production
+// populations), on integer-grid points like the plan search produces:
+// duplicates and ties are dense. 64 seeded populations rotate per size.
+void BM_NonDominatedSort(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(11);
+  std::vector<std::vector<Objectives>> populations(64);
+  for (auto& objs : populations) {
+    objs.resize(n);
+    for (Objectives& o : objs) {
+      o = {static_cast<double>(rng.UniformInt(int64_t{1}, int64_t{24})),
+           static_cast<double>(rng.UniformInt(int64_t{1}, int64_t{16}))};
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto fronts = Nsga2::NonDominatedSort(populations[i++ % 64]);
+    benchmark::DoNotOptimize(fronts);
+  }
+}
+BENCHMARK(BM_NonDominatedSort)->Arg(64)->Arg(96);
 
 void BM_ShardQueueCycle(benchmark::State& state) {
   for (auto _ : state) {

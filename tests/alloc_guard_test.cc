@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "brain/nsga2.h"
 #include "cluster/cluster.h"
 #include "cluster/placement_index.h"
 #include "common/alloc_counter.h"
@@ -281,6 +282,35 @@ TEST(AllocGuardTest, WarmShardedWindowDispatchIsAllocationFree) {
       << "sharded window dispatch allocated " << (after - before)
       << " times across " << (engine.windows_run() - windows_before)
       << " warm windows";
+}
+
+TEST(AllocGuardTest, WarmNsga2GenerationsAreAllocationFree) {
+  // Run() sizes its buffers once; every generation after that — tournament,
+  // crossover, mutation, evaluation, sort, crowding, truncation — reuses
+  // them. The objective records the allocation count at each call, so the
+  // span from the first offspring evaluation to the last covers all but
+  // the first generation's work.
+  constexpr int kPopulation = 48;
+  constexpr int kGenerations = 40;
+  std::vector<uint64_t> counts;
+  counts.reserve(kPopulation * (kGenerations + 1));
+  const std::vector<DecisionBounds> bounds = {
+      {1, 40, true}, {1, 8, true}, {1, 16, true}, {1, 16, true}};
+  auto objective = [&counts](const std::vector<double>& x) {
+    counts.push_back(AllocationCount());
+    const double cost = x[0] * x[2] + x[1] * x[3];
+    const double gain = x[0] * x[2] / (1.0 + x[0] / x[1]) - 40.0;
+    return Objectives{cost, gain > 0.0 ? 1.0 / gain : 1e9 - gain};
+  };
+  Nsga2Options options;
+  options.population = kPopulation;
+  options.generations = kGenerations;
+  Nsga2 nsga2(bounds, objective, options);
+  ASSERT_FALSE(nsga2.Run().empty());
+  ASSERT_EQ(counts.size(), size_t{kPopulation} * (kGenerations + 1));
+  EXPECT_EQ(counts.back() - counts[kPopulation], 0u)
+      << "NSGA-II allocated " << (counts.back() - counts[kPopulation])
+      << " times across " << kGenerations - 1 << " warm generations";
 }
 
 }  // namespace

@@ -298,11 +298,16 @@ TEST(ClusterTest, PreemptionBudgetBreaksRelaunchLivelock) {
   ClusterOptions options = TinyCluster(1, 16.0);
   options.max_preemptions_per_instant = 64;
   Cluster cluster(&sim, options);
+  // The callback reaches itself through a weak_ptr: a shared_ptr capture
+  // would own its own storage and leak.
   auto respawn =
       std::make_shared<std::function<void(Pod&, PodStopReason)>>();
-  *respawn = [&cluster, respawn](Pod&, PodStopReason reason) {
+  *respawn = [&cluster, self = std::weak_ptr(respawn)](Pod&,
+                                                       PodStopReason reason) {
     if (reason == PodStopReason::kPreemption) {
-      cluster.CreatePod(TrainingPod(16.0), nullptr, *respawn);
+      if (const auto fn = self.lock()) {
+        cluster.CreatePod(TrainingPod(16.0), nullptr, *fn);
+      }
     }
   };
   cluster.CreatePod(TrainingPod(16.0), nullptr, *respawn);

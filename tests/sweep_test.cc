@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "brain/nsga2.h"
 #include "gtest/gtest.h"
 #include "harness/reporting.h"
 
@@ -206,38 +205,6 @@ TEST(SweepEngineTest, ExternalPoolIsUsedAndNotOwned) {
       engine.Map(items, [](int item) { return item * 2; });
   EXPECT_EQ(doubled, (std::vector<int>{2, 4, 6, 8, 10}));
   // `pool` must still be usable after the engine goes away.
-}
-
-// The sweep hands NSGA-II a pool for population evaluation; that fan-out
-// must not change the optimizer's output. All randomness lives in the
-// sequential variation phase, so pooled and sequential evaluation walk the
-// same RNG stream.
-TEST(SweepEngineTest, Nsga2PoolEvaluationMatchesSequential) {
-  const std::vector<DecisionBounds> bounds = {
-      {1.0, 32.0, true}, {0.5, 16.0, false}};
-  const auto objective = [](const std::vector<double>& x) {
-    // A simple two-objective tradeoff: cost vs inverse throughput.
-    const double cost = x[0] * x[1];
-    const double inv_gain = 1.0 / (1.0 + x[0] * 0.7 + x[1] * 0.3);
-    return std::vector<double>{cost, inv_gain};
-  };
-  Nsga2Options options;
-  options.population = 24;
-  options.generations = 12;
-  options.seed = 11;
-
-  Nsga2 sequential(bounds, objective, options);
-  const std::vector<Nsga2Individual> a = sequential.Run();
-
-  options.pool = &SharedThreadPool();
-  Nsga2 pooled(bounds, objective, options);
-  const std::vector<Nsga2Individual> b = pooled.Run();
-
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].x, b[i].x) << "individual " << i;
-    EXPECT_EQ(a[i].objectives, b[i].objectives) << "individual " << i;
-  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // stack — simulator, cluster, training job, brain, baselines, harness —
 // into an instrumented binary and runs a small multi-threaded sweep, so
 // tier-1 `ctest` exercises the concurrent sweep path (shared ConfigDb
-// cache, WellTunedConfig statics, pooled NSGA-II evaluation) under
-// ThreadSanitizer. No gtest here: TSan makes the process exit nonzero when
+// cache, WellTunedConfig statics, brains running NSGA-II in concurrent
+// scenarios) under ThreadSanitizer. No gtest here: TSan makes the process exit nonzero when
 // it reports a race, logic failures return 1.
 
 #include <cstdio>
