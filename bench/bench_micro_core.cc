@@ -1,9 +1,13 @@
 // Component microbenchmarks (google-benchmark): the building blocks whose
 // cost determines whether the cluster brain can run its 3-minute rounds over
 // thousands of jobs — NNLS fitting, NSGA-II plan generation, the shards
-// queue, the event queue, and the mini-DLRM's forward/backward.
+// queue, the event queue — and the mini-DLRM's training step (reference
+// forward/backward and the batch-kernel cycle) and evaluation.
 
 #include <benchmark/benchmark.h>
+
+#include <utility>
+#include <vector>
 
 #include "brain/nsga2.h"
 #include "common/matrix.h"
@@ -153,6 +157,58 @@ void BM_MiniDlrmForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MiniDlrmForwardBackward)->Arg(0)->Arg(1)->Arg(2);
+
+// One training step on the batch kernels at the Fig 8 batch size: PullBatch,
+// ComputeBatch and PushBatch on a reused workspace, the per-batch work of
+// both trainer modes. Sixteen pre-generated batches rotate through the
+// workspace by swap, so data generation stays out of the loop.
+void BM_MiniDlrmBatchCycle(benchmark::State& state) {
+  MiniDlrmConfig config;
+  config.arch = static_cast<ModelKind>(state.range(0));
+  config.emb_dim = 8;
+  config.hash_buckets = 4096;
+  config.mlp_hidden = {32, 16};
+  MiniDlrm model(config);
+  CriteoSynth data(5);
+  constexpr uint64_t kBatchSize = 96;
+  std::vector<CriteoBatch> batches;
+  for (uint64_t b = 0; b < 16; ++b) {
+    batches.push_back(data.Batch(b * kBatchSize, kBatchSize));
+  }
+  DlrmBatchWork work;
+  size_t i = 0;
+  for (auto _ : state) {
+    CriteoBatch& batch = batches[i++ % batches.size()];
+    std::swap(work.batch, batch);
+    model.PullBatch(&work);
+    const double loss = model.ComputeBatch(&work);
+    model.PushBatch(&work, 0.05);
+    std::swap(work.batch, batch);
+    benchmark::DoNotOptimize(loss);
+  }
+  state.SetItemsProcessed(state.iterations() * kBatchSize);
+}
+BENCHMARK(BM_MiniDlrmBatchCycle)->Arg(0)->Arg(1)->Arg(2);
+
+// One held-out evaluation as the trainers run it: Predict over 4,096
+// samples of a warmed model.
+void BM_MiniDlrmPredict(benchmark::State& state) {
+  MiniDlrmConfig config;
+  config.arch = static_cast<ModelKind>(state.range(0));
+  config.emb_dim = 8;
+  config.hash_buckets = 4096;
+  config.mlp_hidden = {32, 16};
+  MiniDlrm model(config);
+  CriteoSynth data(5);
+  const CriteoBatch batch = data.Batch(1'000'000, 4096);
+  model.Predict(batch);  // materialize the rows the batch touches
+  for (auto _ : state) {
+    const std::vector<double> probs = model.Predict(batch);
+    benchmark::DoNotOptimize(probs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_MiniDlrmPredict)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_IterationModel(benchmark::State& state) {
   const ModelProfile profile = GetModelProfile(ModelKind::kDcn);

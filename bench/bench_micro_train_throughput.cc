@@ -114,16 +114,18 @@ void PrintSweepTable(const std::vector<RunResult>& runs, double base) {
 }
 
 void PrintPhaseTable(const std::vector<RunResult>& runs) {
-  // Per-phase share of total worker-busy time: where an added thread's
-  // second actually goes. Rising commit-wait/lock-wait shares with width
-  // is serialization; flat shares with rising samples/sec is real scaling.
-  TablePrinter table({"mode", "pull", "compute", "push", "commit-wait",
-                      "lock-wait", "queue-wait/batch"});
+  // Worker-busy time per batch, then each phase's share of it: where an
+  // added thread's second actually goes. Rising commit-wait/lock-wait
+  // shares with width is serialization; flat shares with rising
+  // samples/sec is real scaling.
+  TablePrinter table({"mode", "busy/batch", "pull", "compute", "push",
+                      "commit-wait", "lock-wait", "queue-wait/batch"});
   for (const RunResult& r : runs) {
     const double busy = std::max(r.phases.BusySeconds(), 1e-12);
     const double batches =
         std::max(static_cast<double>(r.phases.batches), 1.0);
-    table.AddRow({r.label, FormatPercent(r.phases.pull_s / busy),
+    table.AddRow({r.label, StrFormat("%.0fus", 1e6 * busy / batches),
+                  FormatPercent(r.phases.pull_s / busy),
                   FormatPercent(r.phases.compute_s / busy),
                   FormatPercent(r.phases.push_s / busy),
                   FormatPercent(r.phases.commit_wait_s / busy),
@@ -186,7 +188,8 @@ void Run() {
   } else {
     std::printf("simd kernels unavailable on this CPU (needs AVX2+FMA)\n");
   }
-  std::printf("\nphase breakdown (share of worker-busy seconds):\n");
+  std::printf("\nphase breakdown (busy time per batch, share of worker-busy "
+              "seconds):\n");
   PrintPhaseTable(scalar_runs);
   std::printf("hardware threads: %u\n",
               std::thread::hardware_concurrency());

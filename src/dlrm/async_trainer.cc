@@ -43,7 +43,7 @@ void PhaseBreakdown::Merge(const PhaseBreakdown& other) {
 
 AsyncPsTrainer::AsyncPsTrainer(MiniDlrm* model, const CriteoSynth* data,
                                const AsyncTrainerOptions& options)
-    : model_(model), data_(data), options_(options), rng_(options.seed) {
+    : model_(model), data_(data), options_(options) {
   result_.times_trained.assign(options_.total_batches, 0);
   if (options_.data_mode == DataMode::kDynamicSharding) {
     ShardQueueOptions qopts;
@@ -88,8 +88,7 @@ void AsyncPsTrainer::RepartitionStatic() {
     w->part_cursor = start + i;
     w->part_stride = active.size();
     w->shard.reset();
-    w->batch.reset();
-    w->snapshot.reset();
+    w->pending = false;
     w->progress = 0.0;
   }
 }
@@ -121,24 +120,28 @@ bool AsyncPsTrainer::FetchWork(Worker& worker) {
 }
 
 void AsyncPsTrainer::StartBatch(Worker& worker, uint64_t batch_index) {
-  const auto t0 = PhaseClock::now();
+  const auto pull_t0 = PhaseClock::now();
   worker.batch_index = batch_index;
-  worker.batch = data_->Batch(batch_index * options_.batch_size,
-                              options_.batch_size);
-  // Pull: the parameters this gradient will be computed against. Slow
-  // workers take many ticks to finish, so by push time this is stale.
-  worker.snapshot = model_->TakeSnapshot(*worker.batch);
-  result_.phases.pull_s += SecondsSince(t0);
+  data_->FillBatch(batch_index * options_.batch_size, options_.batch_size,
+                   &work_.batch);
+  // Pull: the parameters this gradient is computed against. Slow workers
+  // take many ticks to push, so by then it is stale. The gradient is a pure
+  // function of the pulled view, so it is computed right away and parked in
+  // the worker until the push; the shared workspace moves on.
+  model_->PullBatch(&work_);
+  const auto compute_t0 = PhaseClock::now();
+  result_.phases.pull_s +=
+      std::chrono::duration<double>(compute_t0 - pull_t0).count();
+  model_->ComputeBatch(&work_);
+  result_.phases.compute_s += SecondsSince(compute_t0);
+  std::swap(worker.grads, work_.grads);
+  worker.pending = true;
 }
 
 void AsyncPsTrainer::FinishBatch(Worker& worker) {
-  const auto compute_t0 = PhaseClock::now();
-  DlrmGradients grads;
-  model_->ForwardBackward(*worker.batch, *worker.snapshot, &grads);
   const auto push_t0 = PhaseClock::now();
-  result_.phases.compute_s +=
-      std::chrono::duration<double>(push_t0 - compute_t0).count();
-  model_->ApplyGradients(grads, options_.learning_rate);
+  std::swap(worker.grads, work_.grads);
+  model_->PushBatch(&work_, options_.learning_rate);
   result_.phases.push_s += SecondsSince(push_t0);
   ++result_.phases.batches;
 
@@ -153,8 +156,7 @@ void AsyncPsTrainer::FinishBatch(Worker& worker) {
   } else {
     worker.part_cursor += worker.part_stride;
   }
-  worker.batch.reset();
-  worker.snapshot.reset();
+  worker.pending = false;
 }
 
 void AsyncPsTrainer::FireEvents() {
@@ -285,7 +287,7 @@ TrainResult AsyncPsTrainer::RunTicks() {
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker& w = workers_[i];
       if (!w.active) continue;
-      if (!w.batch.has_value()) {
+      if (!w.pending) {
         if (!FetchWork(w)) continue;
       }
       anyone_working = true;

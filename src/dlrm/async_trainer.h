@@ -176,12 +176,12 @@ struct TrainResult {
 };
 
 /// Trains a MiniDlrm with asynchronous parameter-server semantics:
-/// each logical worker pulls a parameter snapshot, computes gradients for
-/// one batch over several ticks (slow workers take longer, so their
-/// gradients are staler), and pushes the update. Data is served through
-/// DLRover's dynamic data sharding or a conventional static partitioning,
-/// with scripted elastic/instability events — this is the machinery behind
-/// the Fig 8 "elasticity preserves convergence" experiment.
+/// each logical worker pulls the parameters and computes the gradient of
+/// one batch, holds it over several ticks (slow workers take longer, so
+/// their gradients are staler), and then pushes the update. Data is served
+/// through DLRover's dynamic data sharding or a conventional static
+/// partitioning, with scripted elastic/instability events — this is the
+/// machinery behind the Fig 8 "elasticity preserves convergence" experiment.
 ///
 /// ExecMode::kThreads swaps the tick simulation for real pool threads
 /// (dynamic sharding only); elastic events still fire at their committed
@@ -202,8 +202,8 @@ class AsyncPsTrainer {
     double progress = 0.0;  // accumulated ticks toward the current batch
     std::optional<DataShard> shard;
     uint64_t shard_pos = 0;  // batches completed within the shard
-    std::optional<ParamSnapshot> snapshot;
-    std::optional<CriteoBatch> batch;
+    bool pending = false;    // `grads` holds a batch awaiting its push
+    DlrmBatchGrads grads;    // swapped with work_.grads at pull and push
     uint64_t batch_index = 0;
     // Static-partition mode: strided ownership (worker trains batches
     // cursor, cursor+stride, ... — how file-sharded input pipelines split a
@@ -229,7 +229,8 @@ class AsyncPsTrainer {
   MiniDlrm* model_;
   const CriteoSynth* data_;
   AsyncTrainerOptions options_;
-  Rng rng_;
+  /// kTicks: the one pull/compute workspace every logical worker shares.
+  DlrmBatchWork work_;
   std::vector<Worker> workers_;
   std::unique_ptr<ShardQueue> queue_;
   uint64_t committed_ = 0;

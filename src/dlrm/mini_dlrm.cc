@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/dense_kernels.h"
+#include "common/rng.h"
 
 namespace dlrover {
 
@@ -12,6 +13,9 @@ namespace {
 
 constexpr int kNumCat = CriteoSynth::kNumCategorical;
 constexpr int kNumDense = CriteoSynth::kNumDense;
+// Samples per Predict chunk: bounds the evaluation workspace (keys, slots
+// and gathered rows) independently of the batch size.
+constexpr size_t kPredictChunk = 256;
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
@@ -85,11 +89,10 @@ struct MiniDlrm::SampleCache {
 };
 
 MiniDlrm::MiniDlrm(const MiniDlrmConfig& config)
-    : config_(config),
-      store_(MakeStoreOptions(config)),
-      init_rng_(config.seed) {
+    : config_(config), store_(MakeStoreOptions(config)) {
   n0_ = (1 + kNumCat) * config_.emb_dim;
-  params_ = MakeDenseParams(config_, n0_, /*zero=*/false, &init_rng_);
+  Rng init_rng(config_.seed);
+  params_ = MakeDenseParams(config_, n0_, /*zero=*/false, &init_rng);
 }
 
 ParamSnapshot MiniDlrm::TakeSnapshot(const CriteoBatch& batch) const {
@@ -432,13 +435,24 @@ void MiniDlrm::ApplyGradients(const DlrmGradients& grads,
 }
 
 std::vector<double> MiniDlrm::Predict(const CriteoBatch& batch) const {
-  const ParamSnapshot snap = TakeSnapshot(batch);
+  DlrmBatchWork work;
+  EnsureWork(&work, /*backward=*/false);
+  PullDense(&work);
+  // Size the chunk buffers for a full chunk up front, so later chunks with
+  // more unique keys never regrow them.
+  const size_t max_keys = std::min(kPredictChunk, batch.size()) * kNumCat;
+  work.grads.keys.reserve(max_keys);
+  work.rows.reserve(max_keys * static_cast<size_t>(config_.emb_dim));
+  if (config_.arch == ModelKind::kWideDeep) work.wide.reserve(max_keys);
   std::vector<double> probs;
   probs.reserve(batch.size());
-  SampleCache cache;
-  for (const CriteoSample& sample : batch.samples) {
-    probs.push_back(Sigmoid(ForwardSample(sample, snap.dense, snap.rows,
-                                          &cache)));
+  for (size_t begin = 0; begin < batch.size(); begin += kPredictChunk) {
+    const size_t n = std::min(kPredictChunk, batch.size() - begin);
+    const CriteoSample* samples = batch.samples.data() + begin;
+    GatherBatchRows(samples, n, &work);
+    for (size_t s = 0; s < n; ++s) {
+      probs.push_back(Sigmoid(ForwardSampleFast(samples[s], s, work)));
+    }
   }
   return probs;
 }
@@ -511,58 +525,77 @@ Status MiniDlrm::ImportState(const DlrmStateBlob& blob) {
 }
 
 // ---------------------------------------------------------------------------
-// Allocation-free batch hot path (ExecMode::kThreads workers).
+// Allocation-free batch hot path (the production path of both exec modes).
 //
 // Same math as TakeSnapshot / ForwardBackward / ApplyGradients, restructured
 // around flat reusable buffers: the per-sample field vectors live directly in
 // the concatenated x0 buffer, embedding rows are gathered once per batch into
-// a flat array indexed by a slot table, and gradients accumulate into
-// per-worker flat arrays that PushBatch scatters in one sharded pass. Every
-// floating-point statement keeps the legacy order, so losses and updates are
-// bit-identical (pinned by mini_dlrm_test.FastPathMatchesLegacyBitExact).
+// a flat array indexed by a slot table, and gradients accumulate into flat
+// arrays that PushBatch scatters in one sharded pass. Every floating-point
+// statement keeps the reference order, so losses and updates are
+// bit-identical (pinned by mini_dlrm_test FastPathTest.MatchesLegacyBitExact).
 // ---------------------------------------------------------------------------
 
-void MiniDlrm::EnsureWork(DlrmBatchWork* work) const {
-  if (work->initialized) return;
-  Rng dummy(0);
-  work->dense_grads = MakeDenseParams(config_, n0_, /*zero=*/true, &dummy);
+void MiniDlrm::EnsureWork(DlrmBatchWork* work, bool backward) const {
   const size_t n0 = static_cast<size_t>(n0_);
-  work->x0.resize(n0);
-  work->dfields.resize(n0);
-  work->dx0.resize(n0);
-  const size_t layers = work->dense_grads.mlp_w.size();
-  work->mlp_pre.resize(layers);
-  work->mlp_post.resize(layers);
-  if (config_.arch == ModelKind::kDcn) {
-    work->cross_x.assign(static_cast<size_t>(config_.cross_layers) + 1,
-                         std::vector<double>(n0));
-    work->cross_s.resize(static_cast<size_t>(config_.cross_layers));
-    work->dxl.resize(n0);
-    work->dprev.resize(n0);
+  if (work->x0.empty()) {
+    const size_t layers = config_.mlp_hidden.size() + 1;
+    work->x0.resize(n0);
+    work->mlp_pre.resize(layers);
+    work->mlp_post.resize(layers);
+    if (config_.arch == ModelKind::kDcn) {
+      work->cross_x.assign(static_cast<size_t>(config_.cross_layers) + 1,
+                           std::vector<double>(n0));
+      work->cross_s.resize(static_cast<size_t>(config_.cross_layers));
+    }
+    if (config_.arch == ModelKind::kXDeepFm) {
+      work->fm_t.resize(static_cast<size_t>(config_.fm_maps) * (1 + kNumCat));
+      work->fm_f.resize(static_cast<size_t>(config_.fm_maps));
+      work->fm_s.resize(static_cast<size_t>(config_.fm_maps));
+    }
   }
-  if (config_.arch == ModelKind::kXDeepFm) {
-    work->fm_t.resize(static_cast<size_t>(config_.fm_maps) * (1 + kNumCat));
-    work->fm_f.resize(static_cast<size_t>(config_.fm_maps));
-    work->fm_s.resize(static_cast<size_t>(config_.fm_maps));
+  if (!backward) return;
+  if (work->dx0.empty()) {
+    work->dfields.resize(n0);
+    work->dx0.resize(n0);
+    if (config_.arch == ModelKind::kDcn) {
+      work->dxl.resize(n0);
+      work->dprev.resize(n0);
+    }
   }
-  work->initialized = true;
+  // A gradient set swapped in from outside may never have been shaped.
+  if (work->grads.dense.mlp_w.empty()) {
+    Rng dummy(0);
+    work->grads.dense = MakeDenseParams(config_, n0_, /*zero=*/true, &dummy);
+  }
+}
+
+void MiniDlrm::PullDense(DlrmBatchWork* work) const {
+  // One consistent dense version, as in TakeSnapshot. Copy-assignment
+  // reuses the destination buffers: no allocations once warmed.
+  std::shared_lock<std::shared_mutex> lock(params_mu_);
+  work->dense = params_;
 }
 
 void MiniDlrm::PullBatch(DlrmBatchWork* work) const {
-  EnsureWork(work);
-  {
-    // One consistent dense version, as in TakeSnapshot. Copy-assignment
-    // reuses the destination buffers: no allocations once warmed.
-    std::shared_lock<std::shared_mutex> lock(params_mu_);
-    work->dense = params_;
-  }
-  // Dedup the batch's (feature, bucket) keys: sort (key, position) pairs,
-  // then compact equal runs into one slot each.
+  EnsureWork(work, /*backward=*/true);
+  PullDense(work);
   const size_t nsamples = work->batch.samples.size();
+  GatherBatchRows(work->batch.samples.data(), nsamples, work);
+  const size_t nk = work->grads.keys.size();
+  work->grads.rows.assign(nk * static_cast<size_t>(config_.emb_dim), 0.0);
+  if (config_.arch == ModelKind::kWideDeep) work->grads.wide.assign(nk, 0.0);
+}
+
+void MiniDlrm::GatherBatchRows(const CriteoSample* samples, size_t nsamples,
+                               DlrmBatchWork* work) const {
+  // Dedup the samples' (feature, bucket) keys: sort (key, position) pairs,
+  // then compact equal runs into one slot each.
+  std::vector<uint64_t>& keys = work->grads.keys;
   work->key_scratch.resize(nsamples * kNumCat);
   size_t pos = 0;
   for (size_t s = 0; s < nsamples; ++s) {
-    const CriteoSample& sample = work->batch.samples[s];
+    const CriteoSample& sample = samples[s];
     for (int f = 0; f < kNumCat; ++f) {
       const uint64_t bucket = Bucket(f, sample.cats[f]);
       work->key_scratch[pos] = {store_.PackKey(f, bucket),
@@ -571,25 +604,20 @@ void MiniDlrm::PullBatch(DlrmBatchWork* work) const {
     }
   }
   std::sort(work->key_scratch.begin(), work->key_scratch.end());
-  work->keys.clear();
+  keys.clear();
   work->slot.resize(pos);
   for (const auto& [key, p] : work->key_scratch) {
-    if (work->keys.empty() || work->keys.back() != key) {
-      work->keys.push_back(key);
-    }
-    work->slot[p] = static_cast<uint32_t>(work->keys.size() - 1);
+    if (keys.empty() || keys.back() != key) keys.push_back(key);
+    work->slot[p] = static_cast<uint32_t>(keys.size() - 1);
   }
-  const size_t d = static_cast<size_t>(config_.emb_dim);
-  const size_t nk = work->keys.size();
-  work->rows.resize(nk * d);
-  work->row_grads.assign(nk * d, 0.0);
+  const size_t nk = keys.size();
+  work->rows.resize(nk * static_cast<size_t>(config_.emb_dim));
   double* wide_out = nullptr;
   if (config_.arch == ModelKind::kWideDeep) {
     work->wide.resize(nk);
-    work->wide_grads.assign(nk, 0.0);
     wide_out = work->wide.data();
   }
-  store_.GatherRows(work->keys.data(), nk, work->rows.data(), wide_out,
+  store_.GatherRows(keys.data(), nk, work->rows.data(), wide_out,
                     &work->store_scratch);
 }
 
@@ -687,7 +715,7 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
   std::fill(work.dx0.begin(), work.dx0.end(), 0.0);
   const uint32_t* slots = &work.slot[sample_idx * kNumCat];
 
-  work.dense_grads.bias += dlogit;
+  work.grads.dense.bias += dlogit;
 
   // --- MLP backward ---
   {
@@ -696,8 +724,8 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
       const std::vector<double>& input =
           l == 0 ? work.x0 : work.mlp_post[l - 1];
       // dW = delta (x) input; db = delta.
-      Matrix& gw = work.dense_grads.mlp_w[l];
-      std::vector<double>& gb = work.dense_grads.mlp_b[l];
+      Matrix& gw = work.grads.dense.mlp_w[l];
+      std::vector<double>& gb = work.grads.dense.mlp_b[l];
       for (size_t o = 0; o < work.delta.size(); ++o) {
         gb[o] += work.delta[o];
         for (size_t i = 0; i < input.size(); ++i) {
@@ -728,13 +756,13 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
   // --- Head backward ---
   if (config_.arch == ModelKind::kWideDeep) {
     for (int f = 0; f < kNumCat; ++f) {
-      work.wide_grads[slots[f]] += dlogit;
+      work.grads.wide[slots[f]] += dlogit;
     }
   } else if (config_.arch == ModelKind::kDcn) {
     const size_t n = static_cast<size_t>(n0_);
     const std::vector<double>& x_last = work.cross_x.back();
     for (size_t i = 0; i < n; ++i) {
-      work.dense_grads.cross_out_w[i] += dlogit * x_last[i];
+      work.grads.dense.cross_out_w[i] += dlogit * x_last[i];
       work.dxl[i] = dlogit * work.dense.cross_out_w[i];
     }
     for (size_t l = work.dense.cross_w.size(); l-- > 0;) {
@@ -743,11 +771,11 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
       double ds = 0.0;
       for (size_t i = 0; i < n; ++i) {
         ds += work.dxl[i] * work.x0[i];
-        work.dense_grads.cross_b[l][i] += work.dxl[i];
+        work.grads.dense.cross_b[l][i] += work.dxl[i];
         work.dx0[i] += work.dxl[i] * s;
       }
       for (size_t i = 0; i < n; ++i) {
-        work.dense_grads.cross_w[l][i] += ds * xl[i];
+        work.grads.dense.cross_w[l][i] += ds * xl[i];
         work.dprev[i] = work.dxl[i] + ds * work.dense.cross_w[l][i];
       }
       std::swap(work.dxl, work.dprev);
@@ -756,14 +784,14 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
   } else if (config_.arch == ModelKind::kXDeepFm) {
     for (int h = 0; h < config_.fm_maps; ++h) {
       const double s = work.fm_s[static_cast<size_t>(h)];
-      work.dense_grads.fm_w[static_cast<size_t>(h)] += dlogit * s;
+      work.grads.dense.fm_w[static_cast<size_t>(h)] += dlogit * s;
       const double ds = dlogit * work.dense.fm_w[static_cast<size_t>(h)];
       const double f_sum = work.fm_f[static_cast<size_t>(h)];
       for (int i = 0; i < fields; ++i) {
         const double t = work.fm_t[static_cast<size_t>(h * fields + i)];
         const double dt = ds * (f_sum - t);
         for (int r = 0; r < d; ++r) {
-          work.dense_grads.fm_proj[static_cast<size_t>(h)]
+          work.grads.dense.fm_proj[static_cast<size_t>(h)]
                                   [static_cast<size_t>(r)] +=
               dt * work.x0[static_cast<size_t>(i * d + r)];
           work.dfields[static_cast<size_t>(i * d + r)] +=
@@ -785,23 +813,23 @@ void MiniDlrm::BackwardSampleFast(const CriteoSample& sample,
     const double df = work.dfields[static_cast<size_t>(r)];
     if (df == 0.0) continue;
     for (int c = 0; c < kNumDense; ++c) {
-      work.dense_grads.dense_proj(static_cast<size_t>(r),
+      work.grads.dense.dense_proj(static_cast<size_t>(r),
                                   static_cast<size_t>(c)) +=
           df * sample.dense[static_cast<size_t>(c)];
     }
   }
   // Fields 1..26 -> flat per-slot row gradients.
   for (int f = 0; f < kNumCat; ++f) {
-    double* grow = &work.row_grads[static_cast<size_t>(slots[f]) * d];
+    double* grow = &work.grads.rows[static_cast<size_t>(slots[f]) * d];
     const double* dfield = &work.dfields[static_cast<size_t>(f + 1) * d];
     for (int r = 0; r < d; ++r) grow[r] += dfield[r];
   }
 }
 
 double MiniDlrm::ComputeBatch(DlrmBatchWork* work) const {
-  assert(work->initialized && !work->batch.samples.empty());
-  VisitDenseParams(work->dense_grads, [](double& v) { v = 0.0; });
-  // row_grads / wide_grads were zeroed by PullBatch when it sized them.
+  assert(!work->dx0.empty() && !work->batch.samples.empty());
+  VisitDenseParams(work->grads.dense, [](double& v) { v = 0.0; });
+  // grads.rows / grads.wide were zeroed by PullBatch when it sized them.
   const double inv_n = 1.0 / static_cast<double>(work->batch.size());
   double loss = 0.0;
   for (size_t s = 0; s < work->batch.samples.size(); ++s) {
@@ -819,14 +847,13 @@ double MiniDlrm::ComputeBatch(DlrmBatchWork* work) const {
 void MiniDlrm::PushBatch(DlrmBatchWork* work, double learning_rate) {
   {
     std::unique_lock<std::shared_mutex> lock(params_mu_);
-    ApplyDenseGradientsLocked(work->dense_grads, learning_rate);
+    ApplyDenseGradientsLocked(work->grads.dense, learning_rate);
   }
-  const double* wide_grads = config_.arch == ModelKind::kWideDeep
-                                 ? work->wide_grads.data()
-                                 : nullptr;
-  store_.ScatterApply(work->keys.data(), work->keys.size(),
-                      work->row_grads.data(), wide_grads, learning_rate,
-                      &work->store_scratch);
+  const DlrmBatchGrads& grads = work->grads;
+  const double* wide_grads =
+      config_.arch == ModelKind::kWideDeep ? grads.wide.data() : nullptr;
+  store_.ScatterApply(grads.keys.data(), grads.keys.size(), grads.rows.data(),
+                      wide_grads, learning_rate, &work->store_scratch);
 }
 
 }  // namespace dlrover

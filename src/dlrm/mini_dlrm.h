@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/matrix.h"
-#include "common/rng.h"
 #include "dlrm/criteo_synth.h"
 #include "dlrm/emb_store.h"
 #include "ps/model_profile.h"
@@ -73,30 +72,40 @@ struct DlrmStateBlob {
   EmbStoreSnapshot sparse;
 };
 
-/// Reusable per-worker workspace for the allocation-free batch hot path
+/// One batch's pending gradient, everything PushBatch merges into the live
+/// model: the dense gradient, the batch's sorted unique sparse keys and the
+/// per-key row and wide gradients. Grouped so one std::swap can park a
+/// computed gradient outside the workspace that produced it (the tick
+/// trainer's workers share one workspace and each keeps only this).
+struct DlrmBatchGrads {
+  DenseParams dense;
+  std::vector<uint64_t> keys;  // sorted unique packed (feature,bucket) keys
+  std::vector<double> rows;    // keys.size() * emb_dim
+  std::vector<double> wide;    // keys.size() (Wide&Deep only)
+};
+
+/// Reusable workspace for the allocation-free batch hot path
 /// (MiniDlrm::PullBatch / ComputeBatch / PushBatch). Owns every buffer one
-/// training step needs: the pulled dense copy, the batch's unique sparse
-/// keys with their gathered rows, the per-worker gradient accumulators that
-/// PushBatch merges into the live model at commit, and the flat
+/// training step needs: the pulled dense copy, the batch's gathered rows,
+/// the gradient that PushBatch merges into the live model, and the flat
 /// forward/backward scratch. All buffers are sized on first use and reused
 /// after that, so a warmed steady-state batch performs zero heap
-/// allocations. One instance per worker; never shared across threads.
+/// allocations. Never shared across threads concurrently.
 /// Treat the members as opaque — only `batch` is caller-filled (via
-/// CriteoSynth::FillBatch), everything else belongs to MiniDlrm.
+/// CriteoSynth::FillBatch), and `grads` may be swapped out and back whole;
+/// everything else belongs to MiniDlrm.
 struct DlrmBatchWork {
   CriteoBatch batch;
 
   // Pulled parameters (one consistent dense version + the batch's rows).
   DenseParams dense;
-  std::vector<uint64_t> keys;   // sorted unique packed (feature,bucket) keys
-  std::vector<double> rows;     // keys.size() * emb_dim gathered rows
-  std::vector<double> wide;     // keys.size() wide weights (Wide&Deep only)
+  std::vector<double> rows;     // grads.keys.size() * emb_dim gathered rows
+  std::vector<double> wide;     // grads.keys.size() wide weights (Wide&Deep)
   std::vector<uint32_t> slot;   // (sample * 26 + feature) -> index into keys
 
-  // Per-worker gradient accumulators, merged at commit by PushBatch.
-  DenseParams dense_grads;
-  std::vector<double> row_grads;   // keys.size() * emb_dim
-  std::vector<double> wide_grads;  // keys.size() (Wide&Deep only)
+  // The batch's keys and gradient accumulators, merged at commit by
+  // PushBatch.
+  DlrmBatchGrads grads;
 
   // Forward/backward scratch (flat, reused). x0 doubles as the
   // concatenated field vector: field f lives at [f * emb_dim, ...).
@@ -118,8 +127,6 @@ struct DlrmBatchWork {
   // Key-dedup and stripe-grouping scratch.
   std::vector<std::pair<uint64_t, uint32_t>> key_scratch;
   EmbStore::BatchScratch store_scratch;
-
-  bool initialized = false;
 };
 
 /// A small but real deep recommendation model with three selectable
@@ -129,21 +136,24 @@ struct DlrmBatchWork {
 ///               (a CIN approximation; see DESIGN.md);
 ///   DCN       — MLP tower + explicit cross-layer head.
 /// Training is exception-free, deterministic given the seed, and built for
-/// async-PS semantics: TakeSnapshot / ForwardBackward(snapshot) /
-/// ApplyGradients emulate pull / compute / push.
+/// async-PS semantics: PullBatch / ComputeBatch / PushBatch emulate pull /
+/// compute / push on flat reusable buffers. TakeSnapshot /
+/// ForwardBackward(snapshot) / ApplyGradients are the per-sample reference
+/// implementation of the same three steps, kept as the oracle the batch
+/// kernels are tested against.
 ///
-/// Thread safety: TakeSnapshot, ForwardBackward, ApplyGradients, Predict,
-/// Evaluate and MaterializedRows may be called concurrently from worker
-/// threads (ExecMode::kThreads). The dense parameters are guarded by a
-/// reader/writer lock (snapshots read-lock, pushes write-lock); embedding
-/// and wide rows live in a lock-striped EmbStore so concurrent pulls and
-/// pushes contend only per stripe. dense_params() is NOT synchronized —
-/// single-threaded test use only.
+/// Thread safety: every training call, Predict, Evaluate and
+/// MaterializedRows may be called concurrently from worker threads
+/// (ExecMode::kThreads), each with its own DlrmBatchWork. The dense
+/// parameters are guarded by a reader/writer lock (pulls read-lock, pushes
+/// write-lock); embedding and wide rows live in a lock-striped EmbStore so
+/// concurrent pulls and pushes contend only per stripe. dense_params() is
+/// NOT synchronized — single-threaded test use only.
 class MiniDlrm {
  public:
   explicit MiniDlrm(const MiniDlrmConfig& config);
 
-  /// Pulls the parameters a worker needs to process `batch`.
+  /// Reference path. Pulls the parameters a worker needs to process `batch`.
   ParamSnapshot TakeSnapshot(const CriteoBatch& batch) const;
 
   /// Computes mean logloss and gradients of `batch` against `snapshot`
@@ -155,27 +165,29 @@ class MiniDlrm {
   /// Pushes gradients into the live parameters (async SGD step).
   void ApplyGradients(const DlrmGradients& grads, double learning_rate);
 
-  /// Allocation-free batch hot path used by ExecMode::kThreads workers.
-  /// The three calls mirror pull / compute / push against a per-worker
-  /// workspace:
+  /// Allocation-free batch hot path: the production training path of both
+  /// execution modes. The three calls mirror pull / compute / push against
+  /// a reusable workspace:
   ///   PullBatch    — dense copy + batched sparse gather of the batch's
   ///                  deduplicated keys (one lock round-trip per touched
   ///                  stripe instead of one per key);
-  ///   ComputeBatch — forward/backward into the worker's private gradient
-  ///                  accumulators; returns mean logloss;
-  ///   PushBatch    — merges the accumulators into the live model: dense
+  ///   ComputeBatch — forward/backward into `work->grads`; returns mean
+  ///                  logloss. A pure function of the pulled view;
+  ///   PushBatch    — merges `work->grads` into the live model: dense
   ///                  axpy under the write lock, then the sharded sparse
   ///                  scatter with per-stripe locking.
-  /// The arithmetic is statement-for-statement identical to the legacy
+  /// The arithmetic is statement-for-statement identical to the reference
   /// TakeSnapshot / ForwardBackward / ApplyGradients path: for the same
   /// batch against the same parameters both produce bit-identical losses
   /// and parameter updates (pinned by mini_dlrm_test). Thread-safe with
-  /// one DlrmBatchWork per worker.
+  /// one DlrmBatchWork per thread.
   void PullBatch(DlrmBatchWork* work) const;
   double ComputeBatch(DlrmBatchWork* work) const;
   void PushBatch(DlrmBatchWork* work, double learning_rate);
 
-  /// Click probabilities under the live parameters.
+  /// Click probabilities under the live parameters: one consistent dense
+  /// pull per call, then the forward kernel over fixed-size chunks of the
+  /// batch through one local workspace (no gradient buffers).
   std::vector<double> Predict(const CriteoBatch& batch) const;
 
   /// Mean logloss of the live parameters on a batch.
@@ -217,11 +229,18 @@ class MiniDlrm {
                       const SparseRows& rows, const SampleCache& cache,
                       double dlogit, DlrmGradients* grads) const;
 
-  /// Sizes the fixed (batch-independent) buffers of `work` on first use.
-  void EnsureWork(DlrmBatchWork* work) const;
+  /// Sizes the fixed (batch-independent) forward buffers of `work` on first
+  /// use, and with `backward` the backward scratch and gradient shapes too.
+  void EnsureWork(DlrmBatchWork* work, bool backward) const;
+  /// Copies the dense parameters into `work` under the read lock.
+  void PullDense(DlrmBatchWork* work) const;
+  /// Dedups the keys of `samples[0, nsamples)` into work->grads.keys, fills
+  /// the slot table and gathers the rows (and wide weights) they name.
+  void GatherBatchRows(const CriteoSample* samples, size_t nsamples,
+                       DlrmBatchWork* work) const;
   /// Flat-buffer twins of ForwardSample/BackwardSample with identical
-  /// floating-point statement order; sparse grads go to work.row_grads /
-  /// work.wide_grads via the batch's slot table.
+  /// floating-point statement order; sparse grads go to work.grads.rows /
+  /// work.grads.wide via the batch's slot table.
   double ForwardSampleFast(const CriteoSample& sample, size_t sample_idx,
                            DlrmBatchWork& work) const;
   void BackwardSampleFast(const CriteoSample& sample, size_t sample_idx,
@@ -236,7 +255,6 @@ class MiniDlrm {
   DenseParams params_;
   mutable std::shared_mutex params_mu_;  // guards params_ (dense half)
   EmbStore store_;  // lazily materialized embedding/wide rows, lock-striped
-  mutable Rng init_rng_;
 };
 
 }  // namespace dlrover

@@ -15,6 +15,7 @@
 #include "cluster/cluster.h"
 #include "cluster/placement_index.h"
 #include "common/alloc_counter.h"
+#include "dlrm/async_trainer.h"
 #include "dlrm/criteo_synth.h"
 #include "dlrm/mini_dlrm.h"
 #include "elastic/shard_queue.h"
@@ -117,6 +118,71 @@ TEST(AllocGuardTest, WarmTrainingHotLoopIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "training hot loop allocated " << (after - before) << " times across "
       << 2 * kBatches << " steady-state batches";
+}
+
+TEST(AllocGuardTest, PredictAllocationsDoNotGrowWithBatchSize) {
+  // Evaluation streams the batch through fixed-size chunks of one local
+  // workspace, so a warmed model's Predict allocates the same fixed set of
+  // buffers (plus the output vector) whatever the batch size.
+  MiniDlrmConfig config;
+  config.arch = ModelKind::kWideDeep;
+  config.emb_dim = 8;
+  config.hash_buckets = 4096;
+  config.mlp_hidden = {32, 16};
+  config.seed = 3;
+  MiniDlrm model(config);
+  CriteoSynth data(7);
+  const CriteoBatch small = data.Batch(0, 1024);
+  const CriteoBatch large = data.Batch(0, 4096);
+  model.Predict(large);  // materialize every row both batches touch
+
+  uint64_t before = AllocationCount();
+  model.Predict(small);
+  const uint64_t small_allocs = AllocationCount() - before;
+  before = AllocationCount();
+  model.Predict(large);
+  const uint64_t large_allocs = AllocationCount() - before;
+  EXPECT_LE(large_allocs, small_allocs)
+      << "Predict allocated " << small_allocs << " times for 1024 samples and "
+      << large_allocs << " for 4096";
+}
+
+TEST(AllocGuardTest, TickTrainerAllocationsPerBatchAreBounded) {
+  // A kTicks run trains on one shared batch workspace; each worker keeps
+  // only its pending gradient buffers, which circulate without reallocating
+  // once warm. Doubling the budget from 200 to 400 batches may add only a
+  // handful of allocations per extra batch (first-touch embedding rows,
+  // shard dispatch), never per-sample or per-key ones.
+  MiniDlrmConfig config;
+  config.arch = ModelKind::kWideDeep;
+  config.emb_dim = 8;
+  config.hash_buckets = 512;
+  config.mlp_hidden = {32, 16};
+  config.seed = 3;
+  const CriteoSynth data(7);
+  auto run_allocs = [&](uint64_t batches) {
+    AsyncTrainerOptions options;
+    options.num_workers = 8;
+    options.batch_size = 96;
+    options.total_batches = batches;
+    options.shard_batches = 16;
+    options.eval_every_batches = 1ull << 30;  // one final eval
+    options.eval_size = 1024;
+    options.events = {{40, ElasticEvent::Kind::kAddWorkers, 4, 0.0},
+                      {90, ElasticEvent::Kind::kCrashWorker, 1, 0.0}};
+    MiniDlrm model(config);
+    const uint64_t before = AllocationCount();
+    AsyncPsTrainer trainer(&model, &data, options);
+    const TrainResult result = trainer.Run();
+    EXPECT_EQ(result.batches_committed, batches);
+    return AllocationCount() - before;
+  };
+  const uint64_t short_run = run_allocs(200);
+  const uint64_t long_run = run_allocs(400);
+  ASSERT_GE(long_run, short_run);
+  const double per_batch = static_cast<double>(long_run - short_run) / 200.0;
+  EXPECT_LE(per_batch, 16.0) << short_run << " allocations for 200 batches, "
+                             << long_run << " for 400";
 }
 
 TEST(AllocGuardTest, WarmShardQueueDispatchCycleIsAllocationFree) {

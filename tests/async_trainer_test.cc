@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -211,6 +213,116 @@ TEST(AsyncTrainerTest, ThreadsModeConvergesWithSimdKernels) {
   EXPECT_EQ(threads.batches_committed, ticks.batches_committed);
   EXPECT_LT(std::fabs(threads.final_logloss - ticks.final_logloss), 0.02);
   EXPECT_LT(std::fabs(threads.final_auc - ticks.final_auc), 0.03);
+}
+
+// Golden kTicks curves: lossless %a of every EvalPoint (plus the data
+// accounting) for the three Fig 8 arms on all three architectures, at 1/10
+// of Fig 8's budget with its event script scaled to match, and of the
+// DLRover arm's Predict outputs on a held-out batch that spans several
+// evaluation chunks plus a ragged tail. The digests were captured from the
+// per-sample TakeSnapshot/ForwardBackward/ApplyGradients path; the tick
+// trainer and Predict must reproduce them bit for bit.
+std::string Hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string CurveFingerprint(const TrainResult& r) {
+  std::string out;
+  for (const EvalPoint& p : r.curve) {
+    out += std::to_string(p.batches) + "," + Hex(p.test_logloss) + "," +
+           Hex(p.test_auc) + ";";
+  }
+  out += std::to_string(r.batches_committed) + "/" +
+         std::to_string(r.batches_duplicated) + "/" +
+         std::to_string(r.batches_skipped);
+  return out;
+}
+
+TEST(AsyncTrainerTest, GoldenTickCurvesAndPredictions) {
+  struct Case {
+    ModelKind arch;
+    uint64_t baseline;
+    uint64_t dlrover;
+    uint64_t naive;
+    uint64_t predict;
+  };
+  const Case cases[] = {
+      {ModelKind::kWideDeep, 0x7c8d048ef84d635eull, 0x63961d0b23332f3bull,
+       0x3fc35e3f5a609ae1ull, 0x3c8f4ba51d24a5bbull},
+      {ModelKind::kXDeepFm, 0x556a669b0f54d023ull, 0xd8b617bb34f7c549ull,
+       0x74bb8f9a40de2a53ull, 0x7ff69c52d4a8fb5cull},
+      {ModelKind::kDcn, 0x2a7a02734e5a9b56ull, 0x70b54bfd92d1ffbcull,
+       0xd2c8644dcc69d93dull, 0x4b88e2d56cd33d2bull},
+  };
+  const CriteoSynth data(1234, 120000.0);
+  const CriteoBatch held_out = data.Batch(60'000'000, 600);
+  for (const Case& c : cases) {
+    MiniDlrmConfig config;
+    config.arch = c.arch;
+    config.emb_dim = 8;
+    config.hash_buckets = 4096;
+    config.mlp_hidden = {32, 16};
+    config.seed = 77;
+    auto train = [&](DataMode mode, bool events, MiniDlrm* model) {
+      AsyncTrainerOptions options;
+      options.num_workers = 8;
+      options.batch_size = 96;
+      options.total_batches = 240;
+      options.learning_rate = 0.12;
+      options.shard_batches = 16;
+      options.eval_every_batches = 40;
+      options.eval_start = options.total_batches * options.batch_size;
+      options.eval_size = 1024;
+      options.seed = 55;
+      options.data_mode = mode;
+      if (events) {
+        options.events = {
+            {40, ElasticEvent::Kind::kAddWorkers, 4, 0.0},
+            {70, ElasticEvent::Kind::kMakeStraggler, 1, 0.05},
+            {90, ElasticEvent::Kind::kCrashWorker, 1, 0.0},
+            {180, ElasticEvent::Kind::kRemoveWorkers, 3, 0.0},
+        };
+      }
+      AsyncPsTrainer trainer(model, &data, options);
+      return trainer.Run();
+    };
+    const std::string name = ModelKindName(c.arch);
+    MiniDlrm baseline_model(config);
+    const TrainResult baseline =
+        train(DataMode::kStaticPartition, false, &baseline_model);
+    MiniDlrm dlrover_model(config);
+    const TrainResult dlrover =
+        train(DataMode::kDynamicSharding, true, &dlrover_model);
+    MiniDlrm naive_model(config);
+    const TrainResult naive =
+        train(DataMode::kStaticPartition, true, &naive_model);
+    EXPECT_EQ(Fnv1a(CurveFingerprint(baseline)), c.baseline)
+        << name << " baseline 0x" << std::hex
+        << Fnv1a(CurveFingerprint(baseline));
+    EXPECT_EQ(Fnv1a(CurveFingerprint(dlrover)), c.dlrover)
+        << name << " DLRover 0x" << std::hex
+        << Fnv1a(CurveFingerprint(dlrover));
+    EXPECT_EQ(Fnv1a(CurveFingerprint(naive)), c.naive)
+        << name << " naive 0x" << std::hex << Fnv1a(CurveFingerprint(naive));
+    EXPECT_EQ(dlrover.batches_duplicated + dlrover.batches_skipped, 0u);
+    EXPECT_GT(naive.batches_duplicated + naive.batches_skipped, 0u);
+
+    std::string probs;
+    for (double p : dlrover_model.Predict(held_out)) probs += Hex(p) + ";";
+    EXPECT_EQ(Fnv1a(probs), c.predict)
+        << name << " Predict 0x" << std::hex << Fnv1a(probs);
+  }
 }
 
 TEST(AsyncTrainerTest, CurveIsRecordedAndLossImproves) {
