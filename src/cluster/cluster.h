@@ -2,7 +2,6 @@
 #define DLROVER_CLUSTER_CLUSTER_H_
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,11 +64,6 @@ struct ClusterOptions {
   /// recomputed by scanning nodes and the whole pod directory on every call
   /// (the pre-optimization behaviour, kept for perf comparison benches).
   bool incremental_accounting = true;
-  /// Routes every pod lookup through a std::map index maintained alongside
-  /// the slab, reconstructing the pre-slab lookup cost model (tree walk,
-  /// node allocation per pod) for before/after benches. Results are
-  /// identical either way.
-  bool legacy_pod_index = false;
   /// Serve best-fit placement from the O(log n) PlacementIndex (ordered
   /// free-capacity treap + per-node priority-bucketed pod aggregates +
   /// creation-ordered running-pod directory) instead of the legacy O(nodes)
@@ -336,8 +330,6 @@ class Cluster {
   std::vector<std::unique_ptr<Pod>> directory_;
   std::vector<PodSlot> slots_;
   std::vector<uint32_t> free_slots_;
-  /// Live-pod map maintained only under options_.legacy_pod_index.
-  std::map<PodId, Pod*> legacy_index_;
   /// O(log n) scheduling indexes, maintained under use_placement_index.
   PlacementIndex placement_index_;
   RunningPodIndex running_index_;

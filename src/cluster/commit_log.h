@@ -63,8 +63,9 @@ class ClusterCommitLog {
 
 /// Fleet-wide accounting folded out of per-shard commit logs at window
 /// barriers, in canonical (time, seq, shard) order. The fold is a k-way
-/// cursor merge over logs whose entries are already (time, seq)-sorted by
-/// construction, so it allocates nothing once the cursor scratch is sized.
+/// heap merge over logs whose entries are already (time, seq)-sorted by
+/// construction, O(log k) per entry at worst, and it allocates nothing once
+/// the heap scratch is sized.
 class FleetLedger {
  public:
   struct Totals {
@@ -93,8 +94,25 @@ class FleetLedger {
   Totals totals_;
   double peak_allocated_cpu_ = 0.0;
   uint64_t entries_folded_ = 0;
-  /// Per-log cursor scratch, reused across folds.
-  std::vector<size_t> cursors_;
+
+  /// A log's next unfolded entry: its (time, seq) key, the log's index (the
+  /// final tie-break) and the entry's position in the log.
+  struct Cursor {
+    SimTime time;
+    uint64_t seq;
+    uint32_t log;
+    uint32_t pos;
+    bool operator<(const Cursor& o) const {
+      if (time != o.time) return time < o.time;
+      if (seq != o.seq) return seq < o.seq;
+      return log < o.log;
+    }
+    bool operator>(const Cursor& o) const { return o < *this; }
+  };
+  void Apply(const ClusterCommitLog::Entry& e);
+
+  /// Min-heap of cursors, reused across folds.
+  std::vector<Cursor> heap_;
 };
 
 }  // namespace dlrover

@@ -193,7 +193,7 @@ void ControlChannel::Attempt(uint32_t slot) {
         rng_.Uniform(0.5, 1.5);
     const uint32_t gen = m2.gen;
     m2.retry_event = sim_->ScheduleAfter(
-        backoff, [this, slot, gen] { RetryFire(slot, gen); }, "ctl_retry");
+        backoff, [this, slot, gen] { RetryFire(slot, gen); });
   }
 }
 
@@ -215,8 +215,7 @@ void ControlChannel::ScheduleDelivery(uint32_t slot, bool duplicate_copy) {
   const uint32_t gen = m.gen;
   sim_->ScheduleAfter(
       latency,
-      [this, slot, gen, attempt_epoch] { Deliver(slot, gen, attempt_epoch); },
-      "ctl_deliver");
+      [this, slot, gen, attempt_epoch] { Deliver(slot, gen, attempt_epoch); });
 }
 
 void ControlChannel::Deliver(uint32_t slot, uint32_t gen,
@@ -285,8 +284,7 @@ void ControlChannel::Deliver(uint32_t slot, uint32_t gen,
                 return;
               }
               MaybeRelease(slot);
-            },
-            "ctl_ack");
+            });
       }
     }
   }
@@ -330,8 +328,7 @@ void ControlChannel::PartitionNode(NodeId node, Duration duration) {
         if (!NodePartitioned(node)) {
           Record(ControlEventKind::kNodePartitionEnd, node, 0);
         }
-      },
-      "ctl_node_heal");
+      });
 }
 
 void ControlChannel::PartitionCell(Duration duration) {
@@ -345,8 +342,7 @@ void ControlChannel::PartitionCell(Duration duration) {
         if (!CellPartitioned()) {
           Record(ControlEventKind::kCellPartitionEnd, 0, 0);
         }
-      },
-      "ctl_cell_heal");
+      });
 }
 
 bool ControlChannel::NodePartitioned(NodeId node) const {
@@ -418,8 +414,7 @@ int ControlChannel::CrashMasterByOrdinal(size_t ordinal) {
             ++stats_.master_restarts;
             Record(ControlEventKind::kMasterRestart, h, mm.epoch);
             if (mm.endpoint) mm.endpoint->OnMasterRestart();
-          },
-          "ctl_master_restart");
+          });
     }
     return static_cast<int>(h);
   }

@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -20,9 +21,13 @@ namespace dlrover {
 /// config around.
 ///
 /// Dispatch is a pointer to a static ops table (invoke / relocate /
-/// destroy), so moving a callback is a relocate of at most kInlineBytes and
-/// invoking it is one indirect call — same cost profile as std::function's
-/// happy path, without its allocation cliff.
+/// destroy), so invoking a callback is one indirect call — same cost
+/// profile as std::function's happy path, without its allocation cliff.
+/// Most closures capture only `this`, ids and numbers, i.e. they are
+/// trivially copyable: their table has no relocate or destroy entry, so a
+/// move is a fixed-size memcpy of the buffer and destruction is free. The
+/// simulator moves every event's callback several times between scheduling
+/// and firing, which makes this the common case worth a branch.
 class InlineCallback {
  public:
   /// Inline capture budget. Large enough for every steady-state closure in
@@ -81,32 +86,38 @@ class InlineCallback {
   struct Ops {
     void (*invoke)(void* storage);
     /// Move-constructs the payload from `src` storage into `dst` storage and
-    /// destroys the source payload.
+    /// destroys the source payload. Null when a memcpy of the buffer does
+    /// the same (trivially copyable payloads, and the heap pointer).
     void (*relocate)(void* dst, void* src) noexcept;
+    /// Null when the payload needs no destruction.
     void (*destroy)(void* storage) noexcept;
   };
 
   template <typename Fn>
   static const Ops* InlineOps() {
-    static constexpr Ops ops = {
-        [](void* s) { (*static_cast<Fn*>(s))(); },
-        [](void* dst, void* src) noexcept {
-          Fn* from = static_cast<Fn*>(src);
-          ::new (dst) Fn(std::move(*from));
-          from->~Fn();
-        },
-        [](void* s) noexcept { static_cast<Fn*>(s)->~Fn(); },
-    };
-    return &ops;
+    if constexpr (std::is_trivially_copyable_v<Fn>) {
+      static constexpr Ops ops = {
+          [](void* s) { (*static_cast<Fn*>(s))(); }, nullptr, nullptr};
+      return &ops;
+    } else {
+      static constexpr Ops ops = {
+          [](void* s) { (*static_cast<Fn*>(s))(); },
+          [](void* dst, void* src) noexcept {
+            Fn* from = static_cast<Fn*>(src);
+            ::new (dst) Fn(std::move(*from));
+            from->~Fn();
+          },
+          [](void* s) noexcept { static_cast<Fn*>(s)->~Fn(); },
+      };
+      return &ops;
+    }
   }
 
   template <typename Fn>
   static const Ops* HeapOps() {
     static constexpr Ops ops = {
         [](void* s) { (**static_cast<Fn**>(s))(); },
-        [](void* dst, void* src) noexcept {
-          ::new (dst) Fn*(*static_cast<Fn**>(src));
-        },
+        nullptr,
         [](void* s) noexcept { delete *static_cast<Fn**>(s); },
     };
     return &ops;
@@ -114,17 +125,19 @@ class InlineCallback {
 
   void MoveFrom(InlineCallback& other) noexcept {
     ops_ = other.ops_;
-    if (ops_ != nullptr) {
+    if (ops_ == nullptr) return;
+    if (ops_->relocate == nullptr) {
+      std::memcpy(buf_, other.buf_, kInlineBytes);
+    } else {
       ops_->relocate(buf_, other.buf_);
-      other.ops_ = nullptr;
     }
+    other.ops_ = nullptr;
   }
 
   void Reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
+    if (ops_ == nullptr) return;
+    if (ops_->destroy != nullptr) ops_->destroy(buf_);
+    ops_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];

@@ -1,10 +1,8 @@
 #ifndef DLROVER_ELASTIC_HEARTBEAT_H_
 #define DLROVER_ELASTIC_HEARTBEAT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/units.h"
@@ -34,6 +32,11 @@ struct HeartbeatMonitorOptions {
 /// and classifies members as failed (silence) or stragglers (progress rate
 /// far below peers). Pure bookkeeping: the owner drives time by calling
 /// Check(now) and reacts to the returned verdicts.
+///
+/// Member ids are dense small integers (worker indices), so the monitor is
+/// a flat slab indexed by id: a heartbeat is one bounds check and a few
+/// field writes, and every id-ordered walk is a linear sweep. Storage grows
+/// to the largest id ever seen and is never shrunk.
 class HeartbeatMonitor {
  public:
   explicit HeartbeatMonitor(const HeartbeatMonitorOptions& options)
@@ -42,14 +45,22 @@ class HeartbeatMonitor {
   /// Registers a member (worker or PS). Progress starts at zero. Clears any
   /// fence on the id: an explicit re-add is a new incarnation.
   void AddMember(uint64_t member_id, SimTime now);
-  /// Removes a member (scale-down or confirmed failure).
+  /// Removes a member (scale-down or confirmed failure). A fence on the id
+  /// stays in place.
   void RemoveMember(uint64_t member_id);
   /// Removes a member AND remembers the id as fenced: late heartbeat packets
   /// still in flight for a worker the master already gave up on must not
   /// auto-register a ghost member. Only AddMember lifts the fence.
   void FenceMember(uint64_t member_id);
   bool IsFenced(uint64_t member_id) const {
-    return fenced_.count(member_id) != 0;
+    return member_id < slots_.size() && slots_[member_id].fenced;
+  }
+
+  /// Forgets every member and fence and releases the slab, for an owner
+  /// that is done with the group (a finished job).
+  void Clear() {
+    std::vector<Slot>().swap(slots_);
+    member_count_ = 0;
   }
 
   /// Records a heartbeat packet with the member's cumulative progress.
@@ -59,19 +70,35 @@ class HeartbeatMonitor {
   /// (duplicates are harmless), and packets for fenced ids are dropped.
   void Heartbeat(uint64_t member_id, SimTime now, uint64_t progress_offset);
 
-  /// Members silent beyond the failure timeout.
+  /// Members silent beyond the failure timeout, in ascending id order.
   std::vector<uint64_t> DetectFailures(SimTime now) const;
 
-  /// Members whose progress rate is far below the group's median rate.
-  /// Already-flagged members are not re-reported unless `include_flagged`.
+  /// Members whose progress rate is far below the group's median rate, in
+  /// ascending id order. Already-flagged members are not re-reported unless
+  /// `include_flagged`.
   std::vector<uint64_t> DetectStragglers(SimTime now,
                                          bool include_flagged = false);
 
   /// Progress rate (units per second) of one member; 0 if unknown.
   double ProgressRate(uint64_t member_id, SimTime now) const;
 
-  size_t member_count() const { return members_.size(); }
-  const std::map<uint64_t, MemberHealth>& members() const { return members_; }
+  size_t member_count() const { return member_count_; }
+  /// The member's health record, or nullptr when the id is not a member.
+  const MemberHealth* Member(uint64_t member_id) const {
+    if (member_id >= slots_.size() || !slots_[member_id].present) {
+      return nullptr;
+    }
+    return &slots_[member_id].health;
+  }
+  /// Calls fn(id, health) for every member in ascending id order. fn may
+  /// add, remove or fence members (the walk re-reads the slab by index),
+  /// but `health` is only valid until it does.
+  template <typename Fn>
+  void ForEachMember(Fn&& fn) const {
+    for (size_t id = 0; id < slots_.size(); ++id) {
+      if (slots_[id].present) fn(static_cast<uint64_t>(id), slots_[id].health);
+    }
+  }
 
   /// Out-of-order packets discarded by the monotonic-timestamp guard.
   uint64_t stale_heartbeats_ignored() const {
@@ -83,9 +110,18 @@ class HeartbeatMonitor {
   }
 
  private:
+  struct Slot {
+    MemberHealth health;
+    bool present = false;
+    bool fenced = false;
+  };
+
+  /// The slot for `member_id`, growing the slab to reach it.
+  Slot& SlotFor(uint64_t member_id);
+
   HeartbeatMonitorOptions options_;
-  std::map<uint64_t, MemberHealth> members_;
-  std::set<uint64_t> fenced_;
+  std::vector<Slot> slots_;
+  size_t member_count_ = 0;
   uint64_t stale_heartbeats_ignored_ = 0;
   uint64_t fenced_heartbeats_ignored_ = 0;
 };

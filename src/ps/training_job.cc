@@ -60,7 +60,6 @@ TrainingJob::TrainingJob(Simulator* sim, Cluster* cluster, const JobSpec& spec,
   if (spec_.data_mode == DataMode::kDynamicSharding) {
     ShardQueueOptions options;
     options.total_batches = spec_.total_steps;
-    options.legacy_index = spec_.legacy_shard_index;
     shard_queue_ = std::make_unique<ShardQueue>(options);
   }
   if (spec_.history_reserve > 0) history_.reserve(spec_.history_reserve);
@@ -91,8 +90,7 @@ void TrainingJob::Start() {
   for (int i = 0; i < config_.num_workers; ++i) {
     auto worker = std::make_unique<WorkerState>();
     worker->index = next_worker_index_++;
-    workers_.push_back(std::move(worker));
-    CreateWorkerPod(*workers_.back());
+    CreateWorkerPod(AdoptWorker(std::move(worker)));
   }
   std::vector<double> shares = spec_.ps_shares;
   if (shares.empty() || static_cast<int>(shares.size()) != config_.num_ps) {
@@ -157,7 +155,7 @@ Duration TrainingJob::NextRelaunchDelay(int* streak) {
 }
 
 void TrainingJob::OnWorkerRunning(WorkerState& worker) {
-  worker.pod_running = true;
+  SetWorkerRunning(worker, true);
   worker_relaunch_streak_ = 0;  // a healthy start resets the backoff
   monitor_.AddMember(static_cast<uint64_t>(worker.index), sim_->Now());
   if (worker.replace_victim >= 0) {
@@ -167,7 +165,7 @@ void TrainingJob::OnWorkerRunning(WorkerState& worker) {
     worker.replace_victim = -1;
     if (victim != nullptr && !victim->retired) {
       InterruptWorker(*victim);  // shard requeued with partial credit
-      victim->retired = true;
+      RetireWorker(*victim);
       victim->evacuating = false;
       if (victim->pod != 0) cluster_->KillPod(victim->pod);
       ++stats_.drain_migrations;
@@ -286,12 +284,6 @@ void TrainingJob::StartNextShard(WorkerState& worker) {
 double TrainingJob::WorkerIterTime(const WorkerState& worker) const {
   const Pod* pod = cluster_->GetPod(worker.pod);
   const double speed = pod != nullptr ? pod->speed_factor : 1.0;
-  if (!spec_.memoize_iteration) {
-    return ComputeIteration(profile_, env_, spec_.batch_size,
-                            ActiveWorkerCount(), config_, speed,
-                            CurrentPsGroupState())
-        .Total();
-  }
   return CachedIteration(ActiveWorkerCount(), speed).Total();
 }
 
@@ -301,9 +293,9 @@ IterationBreakdown TrainingJob::CachedIteration(int active_workers,
   if (cluster_version != iter_cache_cluster_version_ ||
       job_version_ != iter_cache_job_version_ ||
       active_workers != iter_cache_active_) {
-    // New generation: rebuild the PS-group snapshot (exactly what
-    // CurrentPsGroupState produces, reusing the vectors' capacity) and drop
-    // the per-speed entries.
+    // New generation: rebuild the PS-group snapshot (shares and speeds of
+    // the live PSes, or one balanced unit PS when there are none; reusing
+    // the vectors' capacity) and drop the per-speed entries.
     group_cache_.shares.clear();
     group_cache_.speeds.clear();
     for (const auto& ps : ps_) {
@@ -332,21 +324,6 @@ IterationBreakdown TrainingJob::CachedIteration(int active_workers,
       ComputeIteration(profile_, env_, spec_.batch_size, active_workers,
                        config_, worker_speed, group_cache_)});
   return iter_cache_.back().iter;
-}
-
-PsGroupState TrainingJob::CurrentPsGroupState() const {
-  PsGroupState state;
-  for (const auto& ps : ps_) {
-    if (ps->retired) continue;
-    const Pod* pod = cluster_->GetPod(ps->pod);
-    state.shares.push_back(ps->share);
-    state.speeds.push_back(pod != nullptr ? pod->speed_factor : 1.0);
-  }
-  if (state.shares.empty()) {
-    state.shares.push_back(1.0);
-    state.speeds.push_back(1.0);
-  }
-  return state;
 }
 
 void TrainingJob::OnShardComplete(WorkerState& worker) {
@@ -506,7 +483,7 @@ void TrainingJob::RepartitionStatic(uint64_t completed_prefix) {
 
 void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
   InterruptWorker(worker);
-  worker.pod_running = false;
+  SetWorkerRunning(worker, false);
   if (cluster_->control_channel() != nullptr) {
     // A lossy control plane can deliver this worker's in-flight heartbeats
     // after the master gave up on it; fence the id so a late packet cannot
@@ -525,7 +502,7 @@ void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
 
   if (spec_.data_mode == DataMode::kDynamicSharding) {
     // The unfinished shard is already back in the queue; peers keep going.
-    worker.retired = true;
+    RetireWorker(worker);
     if (worker.replace_victim >= 0) {
       // A make-before-break replacement died before its handoff. If the
       // victim is still alive, clear its evacuating mark so a later drain
@@ -554,8 +531,7 @@ void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
         auto replacement = std::make_unique<WorkerState>();
         replacement->index = next_worker_index_++;
         replacement->shard_limit = shard_limit;
-        workers_.push_back(std::move(replacement));
-        CreateWorkerPod(*workers_.back());
+        CreateWorkerPod(AdoptWorker(std::move(replacement)));
       };
       if (delay <= 0.0) {
         relaunch();
@@ -651,13 +627,12 @@ void TrainingJob::RestartFromCheckpoint(const std::string& why) {
   ++migration_epoch_;
 
   // Fresh pod sets with the current configuration.
-  workers_.clear();
+  workers_.clear();  // all retired by KillAllPods: none was counted
   ps_.clear();
   for (int i = 0; i < config_.num_workers; ++i) {
     auto worker = std::make_unique<WorkerState>();
     worker->index = next_worker_index_++;
-    workers_.push_back(std::move(worker));
-    CreateWorkerPod(*workers_.back());
+    CreateWorkerPod(AdoptWorker(std::move(worker)));
   }
   for (int i = 0; i < config_.num_ps; ++i) {
     auto psn = std::make_unique<PsState>();
@@ -699,8 +674,7 @@ Status TrainingJob::ApplyPlan(const JobConfig& new_config,
       for (int i = 0; i < delta; ++i) {
         auto worker = std::make_unique<WorkerState>();
         worker->index = next_worker_index_++;
-        workers_.push_back(std::move(worker));
-        CreateWorkerPod(*workers_.back());
+        CreateWorkerPod(AdoptWorker(std::move(worker)));
       }
     } else {
       int to_remove = -delta;
@@ -709,7 +683,7 @@ Status TrainingJob::ApplyPlan(const JobConfig& new_config,
         WorkerState& w = **it;
         if (w.retired) continue;
         InterruptWorker(w);
-        w.retired = true;
+        RetireWorker(w);
         cluster_->KillPod(w.pod);
         --to_remove;
       }
@@ -787,13 +761,12 @@ void TrainingJob::BeginStopAndRestart(const JobConfig& new_config) {
     restart_kill_time_ = sim_->Now();
     config_ = new_config;
     InvalidateIterationCache();
-    workers_.clear();
+    workers_.clear();  // all retired by KillAllPods: none was counted
     ps_.clear();
     for (int i = 0; i < config_.num_workers; ++i) {
       auto worker = std::make_unique<WorkerState>();
       worker->index = next_worker_index_++;
-      workers_.push_back(std::move(worker));
-      CreateWorkerPod(*workers_.back());
+      CreateWorkerPod(AdoptWorker(std::move(worker)));
     }
     for (int i = 0; i < config_.num_ps; ++i) {
       auto psn = std::make_unique<PsState>();
@@ -857,7 +830,7 @@ void TrainingJob::AbortSeamlessIfStuck(uint64_t epoch) {
   if (transition_ != TransitionKind::kSeamless) return;
   if (epoch != migration_epoch_) return;  // that migration already ended
   for (auto& w : staged_workers_) {
-    w->retired = true;
+    RetireWorker(*w);
     if (w->pod != 0) cluster_->KillPod(w->pod);
     retired_workers_.push_back(std::move(w));
   }
@@ -904,7 +877,7 @@ void TrainingJob::FinishMigrationIfReady() {
     for (auto& w : workers_) {
       if (!w->retired) {
         InterruptWorker(*w);
-        w->retired = true;
+        RetireWorker(*w);
         cluster_->KillPod(w->pod);
       }
       retired_workers_.push_back(std::move(w));
@@ -921,6 +894,10 @@ void TrainingJob::FinishMigrationIfReady() {
 
     workers_ = std::move(staged_workers_);
     staged_workers_.clear();
+    for (auto& w : workers_) {
+      w->in_workers = true;
+      SyncActive(*w);
+    }
     ps_ = std::move(staged_ps_);
     staged_ps_.clear();
     config_ = *pending_config_;
@@ -989,8 +966,8 @@ int TrainingJob::MitigateStragglers() {
   // cluster's control plane so the default configuration is untouched.
   if (cluster_->node_health_enabled()) {
     ControlChannel* ch = cluster_->control_channel();
-    for (const auto& [member, health] : monitor_.members()) {
-      if (!health.flagged_straggler) continue;
+    monitor_.ForEachMember([&](uint64_t member, const MemberHealth& health) {
+      if (!health.flagged_straggler) return;
       for (auto& w : workers_) {
         if (static_cast<uint64_t>(w->index) != member) continue;
         if (!w->retired && w->pod_running) {
@@ -1008,7 +985,7 @@ int TrainingJob::MitigateStragglers() {
         }
         break;
       }
-    }
+    });
   }
   return mitigated;
 }
@@ -1097,12 +1074,11 @@ int TrainingJob::EvacuateDrainingPods() {
     replacement->index = next_worker_index_++;
     replacement->shard_limit = victim.shard_limit;
     replacement->replace_victim = victim.index;
-    workers_.push_back(std::move(replacement));
-    CreateWorkerPod(*workers_.back());
+    const int repl_index = replacement->index;
+    CreateWorkerPod(AdoptWorker(std::move(replacement)));
     // Scarcity fallback: if the replacement has not reached Running by the
     // deadline, give up on make-before-break for this worker.
     const int victim_index = victim.index;
-    const int repl_index = workers_.back()->index;
     sim_->ScheduleAfter(spec_.drain_fallback_timeout,
                         [this, victim_index, repl_index] {
                           DrainFallback(victim_index, repl_index);
@@ -1125,7 +1101,7 @@ void TrainingJob::DrainFallback(int victim_index, int replacement_index) {
   // retire the stuck replacement and stop-and-restart the victim through the
   // normal crash path (auto-replace, backoff-aware, off-node placement).
   ++stats_.drain_fallbacks;
-  replacement->retired = true;
+  RetireWorker(*replacement);
   replacement->replace_victim = -1;
   if (replacement->pod != 0) cluster_->KillPod(replacement->pod);
   WorkerState* victim = FindWorkerByIndex(victim_index);
@@ -1183,6 +1159,7 @@ void TrainingJob::Complete() {
   profile_task_->Stop();
   checkpoint_task_->Stop();
   KillAllPods(true);
+  monitor_.Clear();  // fleets keep finished jobs; their slabs need not stay
   if (on_finished) on_finished(*this);
 }
 
@@ -1194,6 +1171,7 @@ void TrainingJob::FailJob(const std::string& reason) {
   profile_task_->Stop();
   checkpoint_task_->Stop();
   KillAllPods(false);
+  monitor_.Clear();
   if (on_finished) on_finished(*this);
 }
 
@@ -1209,6 +1187,7 @@ void TrainingJob::KillAllPods(bool graceful) {
   retire_all(ps_);
   retire_all(staged_workers_);
   retire_all(staged_ps_);
+  for (auto& w : workers_) SyncActive(*w);
   InvalidateIterationCache();
   auto kill_all = [&](auto& members) {
     for (auto& m : members) {
@@ -1221,12 +1200,38 @@ void TrainingJob::KillAllPods(bool graceful) {
   kill_all(staged_ps_);
 }
 
-int TrainingJob::ActiveWorkerCount() const {
+int TrainingJob::CountActiveWorkers() const {
   int count = 0;
   for (const auto& w : workers_) {
     if (w->pod_running && !w->retired) ++count;
   }
   return count;
+}
+
+void TrainingJob::SyncActive(WorkerState& worker) {
+  const bool active =
+      worker.in_workers && worker.pod_running && !worker.retired;
+  if (active == worker.counted) return;
+  worker.counted = active;
+  active_workers_ += active ? 1 : -1;
+}
+
+void TrainingJob::SetWorkerRunning(WorkerState& worker, bool running) {
+  worker.pod_running = running;
+  SyncActive(worker);
+}
+
+void TrainingJob::RetireWorker(WorkerState& worker) {
+  worker.retired = true;
+  SyncActive(worker);
+}
+
+TrainingJob::WorkerState& TrainingJob::AdoptWorker(
+    std::unique_ptr<WorkerState> worker) {
+  worker->in_workers = true;
+  workers_.push_back(std::move(worker));
+  SyncActive(*workers_.back());
+  return *workers_.back();
 }
 
 Bytes TrainingJob::MaxPsMemory() const {
@@ -1306,16 +1311,10 @@ void TrainingJob::UpdateMemoryAndUsage() {
       static_cast<double>(batches_done()) *
       static_cast<double>(spec_.batch_size));
   const int active = std::max(1, ActiveWorkerCount());
-  const bool memoize = spec_.memoize_iteration;
-  // Unmemoized path keeps its own group copy; the memoized path reuses the
-  // cache's snapshot (valid for this tick once CachedIteration ran).
-  PsGroupState local_group;
-  if (!memoize) local_group = CurrentPsGroupState();
-  const IterationBreakdown healthy =
-      memoize ? CachedIteration(active, 1.0)
-              : ComputeIteration(profile_, env_, spec_.batch_size, active,
-                                 config_, 1.0, local_group);
-  const PsGroupState& group = memoize ? group_cache_ : local_group;
+  // The cache's PS-group snapshot is valid for this tick once
+  // CachedIteration ran.
+  const IterationBreakdown healthy = CachedIteration(active, 1.0);
+  const PsGroupState& group = group_cache_;
   const double t_iter = std::max(1e-9, healthy.Total());
 
   // Parameter servers: memory tracks embedding growth; CPU tracks the share
@@ -1349,10 +1348,7 @@ void TrainingJob::UpdateMemoryAndUsage() {
     if (w->retired || !w->pod_running) continue;
     Pod* pod = cluster_->GetMutablePod(w->pod);
     if (pod == nullptr) continue;
-    const IterationBreakdown mine =
-        memoize ? CachedIteration(active, pod->speed_factor)
-                : ComputeIteration(profile_, env_, spec_.batch_size, active,
-                                   config_, pod->speed_factor, local_group);
+    const IterationBreakdown mine = CachedIteration(active, pod->speed_factor);
     const double t_mine = std::max(1e-9, mine.Total());
     ResourceSpec usage;
     usage.cpu =
@@ -1460,11 +1456,13 @@ void TrainingJob::MaybeReportPsSlowdown() {
   }
   // Any flagged straggler means the slowdown is *not* uniform — that is the
   // ordinary straggler evidence path's job, not this one.
-  for (const auto& [member, health] : monitor_.members()) {
-    if (health.flagged_straggler) {
-      ps_slowdown_streak_ = 0;
-      return;
-    }
+  bool any_straggler = false;
+  monitor_.ForEachMember([&](uint64_t, const MemberHealth& health) {
+    any_straggler = any_straggler || health.flagged_straggler;
+  });
+  if (any_straggler) {
+    ps_slowdown_streak_ = 0;
+    return;
   }
   if (smoothed >= 0.6 * best_smoothed_) {
     ps_slowdown_streak_ = 0;

@@ -82,18 +82,10 @@ struct JobSpec {
   /// Models TensorFlow's tensor-granularity placement (paper: hot PSes).
   std::vector<double> ps_shares;
   uint64_t seed = 1234;
-  /// Memoize the §4.1 iteration law on (active workers, config, PS-group
-  /// state, worker speed) so steady-state shard dispatch skips re-deriving
-  /// Eqns 2–5. The cache is exact (the law is a pure function); disabling it
-  /// reproduces the pre-optimization evaluation path for perf comparisons.
-  bool memoize_iteration = true;
   /// Pre-reserve this many ThroughputSample slots (0 = grow on demand).
   /// Long-horizon runs that must stay allocation-free in steady state set
   /// this to cover the whole horizon's profile ticks.
   size_t history_reserve = 0;
-  /// Routes shard bookkeeping through the pre-optimization std::map (see
-  /// ShardQueueOptions::legacy_index); only for before/after benches.
-  bool legacy_shard_index = false;
   /// Pod-relaunch backoff: the i-th consecutive relaunch of a failed worker
   /// (or PS) waits base * 2^(i-1), capped, with deterministic seeded jitter
   /// in [0.5, 1.5) — so a crash-looping pod cannot hammer the scheduler.
@@ -282,8 +274,13 @@ class TrainingJob {
   /// completion quantization makes single windows noisy (+-15%), so
   /// schedulers should decide on this.
   double SmoothedThroughput(size_t samples = 6) const;
-  /// Number of workers actively processing shards.
-  int ActiveWorkerCount() const;
+  /// Number of workers actively processing shards: running, not retired
+  /// members of the current worker group. O(1); kept in step with every
+  /// flip of those flags and every change of the group.
+  int ActiveWorkerCount() const { return active_workers_; }
+  /// The same count by a scan over the worker group (the reference the
+  /// cached count is tested against).
+  int CountActiveWorkers() const;
   /// Current memory usage of the most loaded PS.
   Bytes MaxPsMemory() const;
   /// Current model size (dense + embeddings), i.e., checkpoint payload.
@@ -315,6 +312,10 @@ class TrainingJob {
     // its replacement is staged.
     int replace_victim = -1;
     bool evacuating = false;
+    // Active-count bookkeeping (see SyncActive): whether the worker belongs
+    // to the current group workers_, and whether active_workers_ counts it.
+    bool in_workers = false;
+    bool counted = false;
     // Static-partition mode: owned range.
     uint64_t part_cursor = 0;
     uint64_t part_end = 0;
@@ -339,6 +340,14 @@ class TrainingJob {
   /// relaunch of that role (0 when backoff is disabled).
   Duration NextRelaunchDelay(int* streak);
   WorkerState* FindWorkerByIndex(int index);
+  /// Flag flips and group changes go through these so active_workers_
+  /// follows them in O(1): SyncActive re-derives one worker's membership in
+  /// the count and adjusts the count by the difference.
+  void SyncActive(WorkerState& worker);
+  void SetWorkerRunning(WorkerState& worker, bool running);
+  void RetireWorker(WorkerState& worker);
+  /// Appends a worker to the current group (workers_) and returns it.
+  WorkerState& AdoptWorker(std::unique_ptr<WorkerState> worker);
   /// Scarcity fallback for a stuck make-before-break handoff (see
   /// EvacuateDrainingPods).
   void DrainFallback(int victim_index, int replacement_index);
@@ -349,7 +358,6 @@ class TrainingJob {
   void OnShardComplete(WorkerState& worker);
   void InterruptWorker(WorkerState& worker);  // requeue with partial credit
   double WorkerIterTime(const WorkerState& worker) const;
-  PsGroupState CurrentPsGroupState() const;
   /// Memoized ComputeIteration. The cache key is (cluster mutation version,
   /// job mutation version, active worker count); worker speed selects an
   /// entry within the cached generation. Any pod phase/speed change bumps
@@ -410,6 +418,8 @@ class TrainingJob {
 
   JobState state_ = JobState::kInitializing;
   std::vector<std::unique_ptr<WorkerState>> workers_;
+  /// Workers with `counted` set; equals CountActiveWorkers().
+  int active_workers_ = 0;
   std::vector<std::unique_ptr<PsState>> ps_;
   std::unique_ptr<ShardQueue> shard_queue_;  // dynamic mode
   uint64_t static_completed_ = 0;            // static mode: finished batches
@@ -468,9 +478,9 @@ class TrainingJob {
   SimTime window_start_ = 0.0;
   double last_throughput_ = 0.0;
 
-  // Iteration-law memoization (see CachedIteration). The group cache
-  // replicates CurrentPsGroupState for the cached generation; entries map a
-  // worker speed to its precomputed breakdown.
+  // Iteration-law memoization (see CachedIteration). The group cache holds
+  // the live PS group's shares and speeds for the cached generation; entries
+  // map a worker speed to its precomputed breakdown.
   struct IterCacheEntry {
     double speed = 0.0;
     IterationBreakdown iter;

@@ -18,6 +18,7 @@
 #include "dlrm/async_trainer.h"
 #include "dlrm/criteo_synth.h"
 #include "dlrm/mini_dlrm.h"
+#include "elastic/heartbeat.h"
 #include "elastic/shard_queue.h"
 #include "ps/training_job.h"
 #include "sim/sharded_simulator.h"
@@ -210,6 +211,27 @@ TEST(AllocGuardTest, WarmShardQueueDispatchCycleIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "shard dispatch/complete cycle allocated " << (after - before)
       << " times";
+}
+
+TEST(AllocGuardTest, WarmHeartbeatIsAllocationFree) {
+  // Every shard completion is a heartbeat. Once the monitor's slab reaches
+  // the highest member id, heartbeats from known members (and re-adds after
+  // a remove or a fence) only write fields in place.
+  HeartbeatMonitor monitor(HeartbeatMonitorOptions{});
+  for (uint64_t id = 0; id < 64; ++id) monitor.AddMember(id, 0.0);
+  uint64_t progress = 0;
+  const uint64_t before = AllocationCount();
+  for (int round = 1; round <= 200; ++round) {
+    for (uint64_t id = 0; id < 64; ++id) {
+      monitor.Heartbeat(id, round * 1.0, ++progress);
+    }
+    monitor.FenceMember(static_cast<uint64_t>(round % 64));
+    monitor.AddMember(static_cast<uint64_t>(round % 64), round * 1.0);
+  }
+  const uint64_t after = AllocationCount();
+  EXPECT_EQ(after - before, 0u)
+      << "warm heartbeats allocated " << (after - before) << " times";
+  EXPECT_EQ(monitor.member_count(), 64u);
 }
 
 TEST(AllocGuardTest, WarmPlacementIndexOpsAreAllocationFree) {

@@ -409,7 +409,8 @@ TEST(HeartbeatMonitorTest, ReAddedMemberStartsWithCleanSlate) {
   ASSERT_EQ(monitor.DetectStragglers(100.0).size(), 1u);
   monitor.RemoveMember(4);
   monitor.AddMember(4, 100.0);
-  ASSERT_FALSE(monitor.members().at(4).flagged_straggler);
+  ASSERT_NE(monitor.Member(4), nullptr);
+  ASSERT_FALSE(monitor.Member(4)->flagged_straggler);
   EXPECT_TRUE(monitor.DetectStragglers(105.0, /*include_flagged=*/true).empty())
       << "fresh observation window suppresses judgment on the whole group";
   // After the newcomer's window completes at a healthy rate, nobody is slow.
@@ -429,8 +430,9 @@ TEST(HeartbeatMonitorTest, OutOfOrderHeartbeatDoesNotRewindSilenceClock) {
   monitor.Heartbeat(1, 50.0, 500);
   monitor.Heartbeat(1, 10.0, 800);  // late delivery of an older packet
   EXPECT_EQ(monitor.stale_heartbeats_ignored(), 1u);
-  EXPECT_EQ(monitor.members().at(1).last_heartbeat, 50.0);
-  EXPECT_EQ(monitor.members().at(1).progress_offset, 800u);
+  ASSERT_NE(monitor.Member(1), nullptr);
+  EXPECT_EQ(monitor.Member(1)->last_heartbeat, 50.0);
+  EXPECT_EQ(monitor.Member(1)->progress_offset, 800u);
   // Liveness judged from the newest accepted packet, not the stale one.
   EXPECT_TRUE(monitor.DetectFailures(100.0).empty());
   ASSERT_EQ(monitor.DetectFailures(111.0).size(), 1u);
@@ -442,8 +444,9 @@ TEST(HeartbeatMonitorTest, DuplicateHeartbeatIsHarmless) {
   monitor.Heartbeat(1, 10.0, 100);
   monitor.Heartbeat(1, 10.0, 100);  // duplicated copy, same timestamp
   EXPECT_EQ(monitor.stale_heartbeats_ignored(), 0u);
-  EXPECT_EQ(monitor.members().at(1).last_heartbeat, 10.0);
-  EXPECT_EQ(monitor.members().at(1).progress_offset, 100u);
+  ASSERT_NE(monitor.Member(1), nullptr);
+  EXPECT_EQ(monitor.Member(1)->last_heartbeat, 10.0);
+  EXPECT_EQ(monitor.Member(1)->progress_offset, 100u);
 }
 
 TEST(HeartbeatMonitorTest, FencedMemberCannotBeResurrectedByLatePackets) {
@@ -477,7 +480,96 @@ TEST(HeartbeatMonitorTest, ExplicitReAddLiftsFence) {
   monitor.Heartbeat(7, 12.0, 5);
   EXPECT_EQ(monitor.member_count(), 1u);
   EXPECT_EQ(monitor.fenced_heartbeats_ignored(), 0u);
-  EXPECT_EQ(monitor.members().at(7).progress_offset, 5u);
+  ASSERT_NE(monitor.Member(7), nullptr);
+  EXPECT_EQ(monitor.Member(7)->progress_offset, 5u);
+}
+
+TEST(HeartbeatMonitorTest, IdGapsLeaveAbsentSlotsOutOfEveryView) {
+  // Ids index the slab directly, so registering 0, 5, 2 leaves holes at
+  // 1, 3 and 4. The holes are not members: no verdict, no rate, no visit.
+  HeartbeatMonitorOptions options;
+  options.failure_timeout = 30.0;
+  HeartbeatMonitor monitor(options);
+  monitor.AddMember(0, 0.0);
+  monitor.AddMember(5, 0.0);
+  monitor.AddMember(2, 0.0);
+  EXPECT_EQ(monitor.member_count(), 3u);
+  for (uint64_t hole : {1u, 3u, 4u, 6u, 1000u}) {
+    EXPECT_EQ(monitor.Member(hole), nullptr) << hole;
+    EXPECT_EQ(monitor.ProgressRate(hole, 10.0), 0.0) << hole;
+    EXPECT_FALSE(monitor.IsFenced(hole)) << hole;
+  }
+  std::vector<uint64_t> visited;
+  monitor.ForEachMember(
+      [&](uint64_t id, const MemberHealth&) { visited.push_back(id); });
+  EXPECT_EQ(visited, (std::vector<uint64_t>{0, 2, 5}));
+  EXPECT_EQ(monitor.DetectFailures(100.0), (std::vector<uint64_t>{0, 2, 5}));
+  // Removing an id that was never a member is a no-op.
+  monitor.RemoveMember(3);
+  monitor.RemoveMember(1000);
+  EXPECT_EQ(monitor.member_count(), 3u);
+}
+
+TEST(HeartbeatMonitorTest, FenceSurvivesRemoveAndOnlyAddLiftsIt) {
+  HeartbeatMonitor monitor(HeartbeatMonitorOptions{});
+  monitor.AddMember(3, 0.0);
+  monitor.FenceMember(3);
+  monitor.RemoveMember(3);  // a second teardown path must not lift it
+  EXPECT_TRUE(monitor.IsFenced(3));
+  monitor.Heartbeat(3, 5.0, 10);
+  EXPECT_EQ(monitor.member_count(), 0u);
+  EXPECT_EQ(monitor.fenced_heartbeats_ignored(), 1u);
+  // Fencing an id never seen before fences it too (late packets for a
+  // worker whose first heartbeat was lost).
+  monitor.FenceMember(9);
+  EXPECT_TRUE(monitor.IsFenced(9));
+  monitor.Heartbeat(9, 5.0, 10);
+  EXPECT_EQ(monitor.member_count(), 0u);
+  monitor.AddMember(3, 6.0);
+  EXPECT_FALSE(monitor.IsFenced(3));
+  EXPECT_TRUE(monitor.IsFenced(9));
+  EXPECT_EQ(monitor.member_count(), 1u);
+}
+
+TEST(HeartbeatMonitorTest, VerdictsComeInAscendingIdOrder) {
+  // Registration order must not leak into verdict order: the job master
+  // acts on verdicts in the order returned, so they are id-ordered.
+  HeartbeatMonitorOptions options;
+  options.failure_timeout = 50.0;
+  options.min_observation = 10.0;
+  HeartbeatMonitor monitor(options);
+  const std::vector<uint64_t> ids = {9, 4, 0, 7, 2, 11, 5};
+  for (uint64_t id : ids) monitor.AddMember(id, 0.0);
+  // 9, 0 and 2 crawl; the rest run at full speed.
+  for (uint64_t id : ids) {
+    const bool slow = id == 9 || id == 0 || id == 2;
+    monitor.Heartbeat(id, 40.0, slow ? 4u : 400u);
+  }
+  EXPECT_EQ(monitor.DetectStragglers(40.0), (std::vector<uint64_t>{0, 2, 9}));
+  // 11, 4 and 7 go silent; 5 and the stragglers keep beating.
+  for (uint64_t id : {9u, 0u, 2u, 5u}) monitor.Heartbeat(id, 80.0, 800);
+  EXPECT_EQ(monitor.DetectFailures(100.0), (std::vector<uint64_t>{4, 7, 11}));
+}
+
+TEST(HeartbeatMonitorTest, MemberCountTracksAddRemoveFenceAndAutoRegister) {
+  HeartbeatMonitor monitor(HeartbeatMonitorOptions{});
+  EXPECT_EQ(monitor.member_count(), 0u);
+  monitor.AddMember(4, 0.0);
+  monitor.AddMember(4, 1.0);  // re-add of a present id is not a new member
+  EXPECT_EQ(monitor.member_count(), 1u);
+  monitor.Heartbeat(1, 2.0, 5);  // first contact auto-registers
+  EXPECT_EQ(monitor.member_count(), 2u);
+  monitor.Heartbeat(1, 3.0, 6);
+  EXPECT_EQ(monitor.member_count(), 2u);
+  monitor.RemoveMember(4);
+  monitor.RemoveMember(4);  // already gone
+  EXPECT_EQ(monitor.member_count(), 1u);
+  monitor.FenceMember(1);
+  EXPECT_EQ(monitor.member_count(), 0u);
+  monitor.FenceMember(1);  // fencing a non-member changes no count
+  EXPECT_EQ(monitor.member_count(), 0u);
+  monitor.AddMember(1, 4.0);
+  EXPECT_EQ(monitor.member_count(), 1u);
 }
 
 TEST(CheckpointStoreTest, FlashIsOrdersOfMagnitudeFasterThanRds) {

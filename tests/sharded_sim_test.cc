@@ -4,13 +4,17 @@
 // byte-identical FleetResults at every execution width (lanes, pool or no
 // pool), and with cells == 1 it reproduces the sequential RunFleet exactly.
 
+#include <algorithm>
+#include <cstring>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "cluster/cluster.h"
 #include "cluster/commit_log.h"
+#include "common/rng.h"
 #include "harness/experiment.h"
 #include "harness/sharded_fleet.h"
 #include "runtime/thread_pool.h"
@@ -166,6 +170,127 @@ TEST(CommitLogTest, LedgerFoldReconstructsClusterTotals) {
                    cluster.TotalAllocated().memory);
   EXPECT_DOUBLE_EQ(ledger.totals().usage.cpu, cluster.TotalUsage().cpu);
   EXPECT_DOUBLE_EQ(ledger.totals().usage.memory, cluster.TotalUsage().memory);
+}
+
+// Test-only oracle for FleetLedger::Fold: gather every entry, sort by the
+// canonical (time, seq, shard) key, and sum in that order.
+struct BruteLedger {
+  FleetLedger::Totals totals;
+  double peak_allocated_cpu = 0.0;
+  uint64_t entries = 0;
+
+  void Fold(const std::vector<ClusterCommitLog*>& logs) {
+    struct Keyed {
+      SimTime time;
+      uint64_t seq;
+      size_t shard;
+      ClusterCommitLog::Entry entry;
+    };
+    std::vector<Keyed> all;
+    for (size_t i = 0; i < logs.size(); ++i) {
+      if (logs[i] == nullptr) continue;
+      for (const auto& e : logs[i]->entries()) {
+        all.push_back(Keyed{e.time, e.seq, i, e});
+      }
+    }
+    std::sort(all.begin(), all.end(), [](const Keyed& a, const Keyed& b) {
+      return std::tie(a.time, a.seq, a.shard) <
+             std::tie(b.time, b.seq, b.shard);
+    });
+    for (const Keyed& k : all) {
+      const ResourceSpec& d = k.entry.delta;
+      switch (k.entry.kind) {
+        case ClusterCommitLog::Kind::kCapacity:
+          totals.capacity += d;
+          break;
+        case ClusterCommitLog::Kind::kAllocated:
+          totals.allocated += d;
+          peak_allocated_cpu =
+              std::max(peak_allocated_cpu, totals.allocated.cpu);
+          break;
+        case ClusterCommitLog::Kind::kUsage:
+          totals.usage += d;
+          break;
+        case ClusterCommitLog::Kind::kCordoned:
+          totals.cordoned += d;
+          break;
+      }
+      ++entries;
+    }
+  }
+};
+
+void ExpectBitEqual(double a, double b, const char* what) {
+  uint64_t ua = 0;
+  uint64_t ub = 0;
+  std::memcpy(&ua, &a, sizeof(a));
+  std::memcpy(&ub, &b, sizeof(b));
+  EXPECT_EQ(ua, ub) << what << ": " << a << " vs " << b;
+}
+
+// Floating-point sums are order-sensitive, so a fold that visits entries in
+// any order but the canonical one shows up as a bit difference. Random logs
+// have equal-time ties within and across logs, empty and absent logs, and
+// long single-log runs; totals are compared after every fold.
+TEST(CommitLogTest, FoldMatchesBruteForceCanonicalOrderBitForBit) {
+  Rng rng(20240611);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t num_logs = 1 + rng.UniformInt(uint64_t{12});
+    std::vector<ClusterCommitLog> storage(num_logs);
+    std::vector<ClusterCommitLog*> logs;
+    for (size_t i = 0; i < num_logs; ++i) {
+      // About one log in eight is absent (a cell without a cluster).
+      logs.push_back(rng.UniformInt(uint64_t{8}) == 0 ? nullptr : &storage[i]);
+    }
+    FleetLedger ledger;
+    BruteLedger brute;
+    SimTime window_start = 0.0;
+    for (int fold = 0; fold < 6; ++fold) {
+      for (size_t i = 0; i < num_logs; ++i) {
+        if (logs[i] == nullptr) continue;
+        // Empty logs are common; otherwise up to 60 entries whose times
+        // take few distinct values, so ties are frequent.
+        const uint64_t n = rng.UniformInt(uint64_t{4}) == 0
+                               ? 0
+                               : rng.UniformInt(uint64_t{61});
+        SimTime t = window_start;
+        for (uint64_t k = 0; k < n; ++k) {
+          if (rng.UniformInt(uint64_t{3}) == 0) {
+            t += static_cast<double>(rng.UniformInt(uint64_t{3}));
+          }
+          const auto kind = static_cast<ClusterCommitLog::Kind>(
+              rng.UniformInt(uint64_t{4}));
+          const ResourceSpec delta{rng.Uniform(-50.0, 50.0),
+                                   rng.Uniform(-1e10, 1e10)};
+          logs[i]->Append(t, kind, delta);
+        }
+      }
+      brute.Fold(logs);
+      ledger.Fold(logs);
+      for (ClusterCommitLog* log : logs) {
+        if (log != nullptr) {
+          EXPECT_TRUE(log->empty());
+        }
+      }
+      const FleetLedger::Totals& got = ledger.totals();
+      const FleetLedger::Totals& want = brute.totals;
+      ExpectBitEqual(got.capacity.cpu, want.capacity.cpu, "capacity.cpu");
+      ExpectBitEqual(got.capacity.memory, want.capacity.memory,
+                     "capacity.memory");
+      ExpectBitEqual(got.allocated.cpu, want.allocated.cpu, "allocated.cpu");
+      ExpectBitEqual(got.allocated.memory, want.allocated.memory,
+                     "allocated.memory");
+      ExpectBitEqual(got.usage.cpu, want.usage.cpu, "usage.cpu");
+      ExpectBitEqual(got.usage.memory, want.usage.memory, "usage.memory");
+      ExpectBitEqual(got.cordoned.cpu, want.cordoned.cpu, "cordoned.cpu");
+      ExpectBitEqual(got.cordoned.memory, want.cordoned.memory,
+                     "cordoned.memory");
+      ExpectBitEqual(ledger.peak_allocated_cpu(), brute.peak_allocated_cpu,
+                     "peak_allocated_cpu");
+      EXPECT_EQ(ledger.entries_folded(), brute.entries);
+      window_start += 5.0;
+    }
+  }
 }
 
 TEST(CommitLogTest, RecoverNodeRestoresCapacityAndPumpsPending) {

@@ -307,5 +307,56 @@ TEST(InlineCallbackTest, CancelDestroysWithoutInvoking) {
   EXPECT_EQ(runs, 0);
 }
 
+// A closure of plain values (the simulator's common case) is relocated by a
+// memcpy of the buffer; it must survive a chain of moves intact.
+TEST(InlineCallbackTest, TriviallyCopyableCaptureRunsAfterMoves) {
+  int out = 0;
+  int* sink = &out;
+  const int a = 17;
+  const double b = 2.5;
+  const uint64_t c = 1ull << 40;
+  auto fn = [sink, a, b, c] {
+    *sink = a + static_cast<int>(b * 2) + static_cast<int>(c >> 40);
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+  InlineCallback first(fn);
+  InlineCallback second(std::move(first));
+  InlineCallback third;
+  third = std::move(second);
+  std::vector<InlineCallback> grown;
+  grown.push_back(std::move(third));
+  for (int i = 0; i < 8; ++i) grown.emplace_back(nullptr);  // reallocates
+  EXPECT_FALSE(first);
+  EXPECT_FALSE(second);
+  EXPECT_FALSE(third);
+  ASSERT_TRUE(grown.front());
+  grown.front()();
+  EXPECT_EQ(out, 17 + 5 + 1);
+}
+
+// A closure that owns a shared_ptr is not trivially copyable: moves must
+// transfer the capture (never duplicate it) and it is destroyed exactly
+// once, when the last holder goes away.
+TEST(InlineCallbackTest, SharedPtrCaptureIsDestroyedExactlyOnce) {
+  auto tracker = std::make_shared<int>(0);
+  {
+    InlineCallback first([tracker] { ++*tracker; });
+    EXPECT_EQ(tracker.use_count(), 2);
+    InlineCallback second(std::move(first));
+    InlineCallback third;
+    third = std::move(second);
+    EXPECT_EQ(tracker.use_count(), 2);  // moved, never copied
+    third();
+    EXPECT_EQ(*tracker, 1);
+    third = nullptr;
+    EXPECT_EQ(tracker.use_count(), 1);  // destroyed on reset
+    InlineCallback fourth([tracker] { ++*tracker; });
+    InlineCallback fifth(std::move(fourth));
+    EXPECT_EQ(tracker.use_count(), 2);
+  }
+  EXPECT_EQ(tracker.use_count(), 1);  // destroyed on scope exit, once
+  EXPECT_EQ(*tracker, 1);
+}
+
 }  // namespace
 }  // namespace dlrover

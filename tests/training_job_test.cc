@@ -308,5 +308,123 @@ TEST(TrainingJobTest, StragglerMitigationShrinksShards) {
   EXPECT_GE(job.stats().stragglers_mitigated, 1);
 }
 
+// ActiveWorkerCount() is a cached count kept in step with every worker flag
+// flip and group change; it must equal a fresh scan after each lifecycle
+// transition and at every probe in between.
+TEST(TrainingJobTest, ActiveWorkerCountMatchesScanThroughEveryTransition) {
+  Simulator sim;
+  ClusterOptions options;
+  options.num_nodes = 4;
+  options.node_capacity = {32.0, GiB(192)};
+  Cluster cluster(&sim, options);
+  TrainingJob job(&sim, &cluster, QuickSpec(400000), TunedConfig());
+  int probes = 0;
+  int mismatches = 0;
+  PeriodicTask probe(&sim, Seconds(1), [&] {
+    ++probes;
+    if (job.ActiveWorkerCount() != job.CountActiveWorkers()) ++mismatches;
+  });
+  auto check = [&](const char* step) {
+    EXPECT_EQ(job.ActiveWorkerCount(), job.CountActiveWorkers()) << step;
+  };
+  auto run_for = [&](Duration d) { sim.RunUntil(sim.Now() + d); };
+
+  job.Start();
+  probe.Start();
+  check("start");
+  run_for(Minutes(5));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  EXPECT_EQ(job.ActiveWorkerCount(), 8);
+
+  JobConfig plan = job.config();
+  plan.num_workers = 11;
+  ASSERT_TRUE(job.ApplyPlan(plan, MigrationMode::kSeamless).ok());
+  check("scale up");
+  run_for(Minutes(3));
+  EXPECT_EQ(job.ActiveWorkerCount(), 11);
+
+  plan.num_workers = 6;
+  ASSERT_TRUE(job.ApplyPlan(plan, MigrationMode::kSeamless).ok());
+  check("scale down");
+  EXPECT_EQ(job.ActiveWorkerCount(), 6);  // retired at once
+  run_for(Minutes(3));
+
+  // Higher-priority pods that cannot fit preempt training pods; the job
+  // relaunches the preempted workers, which stay pending until the online
+  // pods leave.
+  PodSpec online;
+  online.name = "online";
+  online.request = {30.0, GiB(32)};
+  online.priority = PriorityClass::kOnline;
+  std::vector<PodId> online_pods;
+  for (int i = 0; i < 3; ++i) {
+    online_pods.push_back(cluster.CreatePod(online, nullptr, nullptr));
+    check("preemption");
+  }
+  EXPECT_GT(cluster.counters().pods_preempted, 0u);
+  run_for(Minutes(2));
+  EXPECT_LT(job.ActiveWorkerCount(), 6);
+  for (PodId id : online_pods) cluster.KillPod(id);
+  check("online pods gone");
+  run_for(Minutes(5));
+  EXPECT_EQ(job.ActiveWorkerCount(), 6);
+
+  const std::vector<PodId> crash_targets = RunningWorkerPods(cluster);
+  ASSERT_GE(crash_targets.size(), 2u);
+  cluster.FailPod(crash_targets[0], PodStopReason::kCrash);
+  check("crash");
+  EXPECT_EQ(job.ActiveWorkerCount(), 5);
+  run_for(Minutes(3));
+  EXPECT_EQ(job.ActiveWorkerCount(), 6);  // relaunched
+
+  // Make-before-break: drain the node hosting the most workers.
+  NodeId drained = 0;
+  int most = 0;
+  for (size_t n = 0; n < cluster.num_nodes(); ++n) {
+    int here = 0;
+    cluster.VisitPods([&](const Pod& pod) {
+      if (!pod.terminal() && pod.node == static_cast<NodeId>(n) &&
+          pod.spec.name.find("worker") != std::string::npos) {
+        ++here;
+      }
+    });
+    if (here > most) {
+      most = here;
+      drained = static_cast<NodeId>(n);
+    }
+  }
+  ASSERT_GT(most, 0);
+  cluster.DrainNode(drained);
+  EXPECT_EQ(job.EvacuateDrainingPods(), most);
+  check("drain staged");
+  run_for(Minutes(5));
+  EXPECT_GE(job.stats().drain_migrations, most);
+  EXPECT_EQ(job.ActiveWorkerCount(), 6);
+  cluster.UncordonNode(drained);
+
+  // Whole-deployment transitions: seamless migration, then stop-and-restart.
+  plan.num_ps = 3;
+  ASSERT_TRUE(job.ApplyPlan(plan, MigrationMode::kSeamless).ok());
+  check("seamless staged");
+  run_for(Minutes(10));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  EXPECT_EQ(job.stats().migrations, 1);
+  EXPECT_EQ(job.ActiveWorkerCount(), 6);
+  plan.num_workers = 7;
+  plan.worker_cpu = 6.0;
+  ASSERT_TRUE(job.ApplyPlan(plan, MigrationMode::kStopAndRestart).ok());
+  check("stop-and-restart");
+  run_for(Minutes(30));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  EXPECT_EQ(job.ActiveWorkerCount(), 7);
+
+  run_for(Hours(12));
+  ASSERT_EQ(job.state(), JobState::kCompleted);
+  check("completed");
+  EXPECT_EQ(job.ActiveWorkerCount(), 0);
+  EXPECT_GT(probes, 1000);
+  EXPECT_EQ(mismatches, 0);
+}
+
 }  // namespace
 }  // namespace dlrover
