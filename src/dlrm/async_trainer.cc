@@ -25,6 +25,11 @@ namespace {
 
 using PhaseClock = std::chrono::steady_clock;
 
+// Threads mode: wall-clock slice for ShardQueue::WaitNextShardFor. A worker
+// whose wait deadline expires re-checks its control flags and retries, so
+// nobody blocks forever behind a dead shard holder.
+constexpr double kShardWaitSeconds = 0.020;
+
 double SecondsSince(PhaseClock::time_point t0) {
   return std::chrono::duration<double>(PhaseClock::now() - t0).count();
 }
@@ -431,10 +436,11 @@ struct AsyncPsTrainer::ThreadRuntime {
            chaos->Take(kind, committed_approx.load());
   }
 
+  /// Consecutive expired shard waits before a worker gives up and exits.
   int EffectiveStrikes() const {
-    if (opts.give_up_deadline_strikes > 0) return opts.give_up_deadline_strikes;
-    // Chaos without a supervisor can strand shards forever; an unprotected
-    // fleet must eventually give up instead of hanging the run.
+    // Chaos without a supervisor can strand shards forever (a crashed worker
+    // took the last outstanding shard to its grave); an unprotected fleet
+    // must eventually give up instead of hanging the run.
     if (chaos != nullptr && !ft) return 40;
     return 0;  // never give up
   }
@@ -605,7 +611,6 @@ struct AsyncPsTrainer::ThreadRuntime {
   }
 
   void WorkerLoop(std::shared_ptr<WorkerCtl> ctl) {
-    const double wait_s = std::max(1.0, opts.shard_wait_timeout_ms) / 1000.0;
     const int max_strikes = EffectiveStrikes();
     int strikes = 0;
     // Everything one batch needs lives in this per-worker workspace; after
@@ -617,7 +622,7 @@ struct AsyncPsTrainer::ThreadRuntime {
            !ctl->hard_crash.load() && !ctl->fenced.load()) {
       const uint64_t my_epoch = epoch.load();
       const auto wait_t0 = PhaseClock::now();
-      auto shard_or = t->queue_->WaitNextShardFor(wait_s);
+      auto shard_or = t->queue_->WaitNextShardFor(kShardWaitSeconds);
       ph.queue_wait_s += SecondsSince(wait_t0);
       if (shard_or.status().code() == StatusCode::kDeadlineExceeded) {
         if (max_strikes > 0 && ++strikes >= max_strikes) break;

@@ -100,16 +100,6 @@ struct AsyncTrainerOptions {
   /// kThreads only: deterministic fault injector, not owned. Faults fire at
   /// their scheduled committed-batch counts; nullptr disables chaos.
   ChaosInjector* chaos = nullptr;
-  /// kThreads only: wall-clock slice for ShardQueue::WaitNextShardFor. A
-  /// worker whose wait deadline expires re-checks its control flags and
-  /// retries, so nobody blocks forever behind a dead shard holder.
-  double shard_wait_timeout_ms = 20.0;
-  /// kThreads only: consecutive expired waits before a worker gives up and
-  /// exits (how an unsupervised fleet avoids hanging when a crashed worker
-  /// took the last outstanding shard to its grave). 0 = auto: unlimited
-  /// normally, 40 when chaos is injected without the fault-tolerance
-  /// supervisor.
-  int give_up_deadline_strikes = 0;
   /// kThreads only: after the fleet exits, train whatever the queue still
   /// holds inline (the legacy guarantee that every run completes). The
   /// fault-tolerance bench disables this on its unprotected arm so lost

@@ -37,9 +37,6 @@ struct ShardedFleetOptions {
   /// Pool for multi-lane execution; defaults to SharedThreadPool() when
   /// more than one lane is requested.
   ThreadPool* pool = nullptr;
-  /// Folds every cell's ClusterCommitLog into a fleet-wide ledger at each
-  /// barrier (O(entries), allocation-free when warm).
-  bool fleet_ledger = true;
   /// Couples the cells through the ledger: when fleet-wide free CPU drops
   /// below `scarcity_threshold`, every cell's cluster enters scarcity mode
   /// (slow startups) until the fleet recovers. Off for parity benches —

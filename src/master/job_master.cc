@@ -89,7 +89,9 @@ void JobMaster::Tick() {
   // rest of the master's working state is rebuilt from the job itself.
   snapshot_last_plan_seq_ = volatile_last_plan_seq_;
   if (options_.failure_detection) job_->ReapSilentWorkers();
-  if (options_.drain_migration) job_->EvacuateDrainingPods();
+  // Make-before-break evacuation off draining nodes. With no node ever
+  // cordoned the pass inspects pod placements and does nothing.
+  job_->EvacuateDrainingPods();
   if (options_.straggler_mitigation) job_->MitigateStragglers();
   if (options_.oom_prevention) job_->MaybePreventOom();
 }

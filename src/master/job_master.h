@@ -20,12 +20,6 @@ struct JobMasterOptions {
   /// TrainingJob::ReapSilentWorkers). Off by default: killing pods on
   /// heartbeat evidence alone is a policy the experiment must opt into.
   bool failure_detection = false;
-  /// Evacuate pods off draining (cordoned) nodes make-before-break (see
-  /// TrainingJob::EvacuateDrainingPods). On by default: with no node ever
-  /// cordoned — the case unless ClusterOptions::enable_node_health or a test
-  /// drains one — the pass inspects pod placements and does nothing, so the
-  /// event trace is unchanged.
-  bool drain_migration = true;
 };
 
 /// The job-level agent (paper Fig 4): owns the profiler/executor loop for

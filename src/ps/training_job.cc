@@ -77,37 +77,11 @@ TrainingJob::~TrainingJob() {
     state_ = JobState::kFailed;
     stats_.fail_reason = "destroyed";
   }
-  for (auto& w : workers_) {
-    if (w->completion_event != 0) sim_->Cancel(w->completion_event);
-  }
-  for (auto& w : staged_workers_) {
-    if (w->completion_event != 0) sim_->Cancel(w->completion_event);
-  }
-  KillAllPods(false);
+  KillAllPods(false);  // interrupting a worker cancels its completion event
 }
 
 void TrainingJob::Start() {
-  for (int i = 0; i < config_.num_workers; ++i) {
-    auto worker = std::make_unique<WorkerState>();
-    worker->index = next_worker_index_++;
-    CreateWorkerPod(AdoptWorker(std::move(worker)));
-  }
-  std::vector<double> shares = spec_.ps_shares;
-  if (shares.empty() || static_cast<int>(shares.size()) != config_.num_ps) {
-    shares.assign(static_cast<size_t>(config_.num_ps),
-                  1.0 / std::max(1, config_.num_ps));
-  } else {
-    double total = 0.0;
-    for (double s : shares) total += s;
-    for (double& s : shares) s /= total;
-  }
-  for (int i = 0; i < config_.num_ps; ++i) {
-    auto ps = std::make_unique<PsState>();
-    ps->index = next_ps_index_++;
-    ps->share = shares[static_cast<size_t>(i)];
-    ps_.push_back(std::move(ps));
-    CreatePsPod(*ps_.back());
-  }
+  Deploy(config_, spec_.ps_shares, live_);
   if (spec_.data_mode == DataMode::kStaticPartition) {
     RepartitionStatic(0);
   }
@@ -116,10 +90,42 @@ void TrainingJob::Start() {
   checkpoint_task_->Start();
 }
 
-void TrainingJob::CreateWorkerPod(WorkerState& worker) {
+void TrainingJob::Deploy(const JobConfig& config,
+                         const std::vector<double>& shares,
+                         Deployment& into) {
+  for (int i = 0; i < config.num_workers; ++i) {
+    CreateWorkerPod(AddWorker(into), config);
+  }
+  const bool given = !shares.empty() &&
+                     static_cast<int>(shares.size()) == config.num_ps;
+  double total = 0.0;
+  for (double s : shares) total += s;
+  const Role role = &into == &live_ ? Role::kLive : Role::kStaged;
+  for (int i = 0; i < config.num_ps; ++i) {
+    auto ps = std::make_unique<PsState>();
+    ps->index = next_ps_index_++;
+    ps->role = role;
+    ps->share = given ? shares[static_cast<size_t>(i)] / total
+                      : 1.0 / config.num_ps;
+    into.ps.push_back(std::move(ps));
+    CreatePsPod(*into.ps.back(), config);
+  }
+}
+
+TrainingJob::WorkerState& TrainingJob::AddWorker(Deployment& into) {
+  auto worker = std::make_unique<WorkerState>();
+  worker->index = next_worker_index_++;
+  worker->role = &into == &live_ ? Role::kLive : Role::kStaged;
+  into.workers.push_back(std::move(worker));
+  return *into.workers.back();
+}
+
+void TrainingJob::CreateWorkerPod(WorkerState& worker,
+                                  const JobConfig& config) {
+  RosterWalk walk(this);  // `worker` must outlive the call
   PodSpec pod_spec;
   pod_spec.name = spec_.name + "-worker-" + std::to_string(worker.index);
-  pod_spec.request = config_.WorkerRequest();
+  pod_spec.request = config.WorkerRequest();
   pod_spec.priority = PriorityClass::kTraining;
   WorkerState* w = &worker;
   worker.pod = cluster_->CreatePod(
@@ -127,10 +133,11 @@ void TrainingJob::CreateWorkerPod(WorkerState& worker) {
       [this, w](Pod&, PodStopReason reason) { OnWorkerStopped(*w, reason); });
 }
 
-void TrainingJob::CreatePsPod(PsState& ps) {
+void TrainingJob::CreatePsPod(PsState& ps, const JobConfig& config) {
+  RosterWalk walk(this);  // `ps` must outlive the call
   PodSpec pod_spec;
   pod_spec.name = spec_.name + "-ps-" + std::to_string(ps.index);
-  pod_spec.request = config_.PsRequest();
+  pod_spec.request = config.PsRequest();
   pod_spec.priority = PriorityClass::kTraining;
   PsState* p = &ps;
   ps.pod = cluster_->CreatePod(
@@ -138,11 +145,46 @@ void TrainingJob::CreatePsPod(PsState& ps) {
       [this, p](Pod&, PodStopReason reason) { OnPsStopped(*p, reason); });
 }
 
+void TrainingJob::Retire(WorkerState& worker, bool graceful) {
+  RosterWalk walk(this);
+  worker.role = Role::kRetired;
+  has_retired_ = true;
+  SyncActive(worker);
+  InterruptWorker(worker);
+  cluster_->KillPod(worker.pod, graceful);
+}
+
+void TrainingJob::Retire(PsState& ps, bool graceful) {
+  RosterWalk walk(this);
+  ps.role = Role::kRetired;
+  has_retired_ = true;
+  cluster_->KillPod(ps.pod, graceful);
+}
+
+void TrainingJob::RetireAll(Deployment& deployment, bool graceful) {
+  RosterWalk walk(this);
+  for (auto& w : deployment.workers) Retire(*w, graceful);
+  for (auto& p : deployment.ps) Retire(*p, graceful);
+}
+
+void TrainingJob::CompactRosters() {
+  if (roster_walks_ > 0 || !has_retired_) return;
+  has_retired_ = false;
+  auto drop_retired = [](auto& members) {
+    std::erase_if(members,
+                  [](const auto& m) { return m->role == Role::kRetired; });
+  };
+  drop_retired(live_.workers);
+  drop_retired(live_.ps);
+  drop_retired(staged_.workers);
+  drop_retired(staged_.ps);
+}
+
 bool TrainingJob::AllPsRunning() const {
-  for (const auto& ps : ps_) {
-    if (!ps->retired && !ps->pod_running) return false;
+  for (const auto& ps : live_.ps) {
+    if (!ps->pod_running) return false;
   }
-  return !ps_.empty();
+  return !live_.ps.empty();
 }
 
 Duration TrainingJob::NextRelaunchDelay(int* streak) {
@@ -163,11 +205,8 @@ void TrainingJob::OnWorkerRunning(WorkerState& worker) {
     // container running), so only now is the drain victim stopped.
     WorkerState* victim = FindWorkerByIndex(worker.replace_victim);
     worker.replace_victim = -1;
-    if (victim != nullptr && !victim->retired) {
-      InterruptWorker(*victim);  // shard requeued with partial credit
-      RetireWorker(*victim);
-      victim->evacuating = false;
-      if (victim->pod != 0) cluster_->KillPod(victim->pod);
+    if (victim != nullptr) {
+      Retire(*victim);  // shard requeued with partial credit
       ++stats_.drain_migrations;
       InvalidateIterationCache();
     }
@@ -208,10 +247,11 @@ void TrainingJob::TryDispatchAll() {
 
   if (state_ == JobState::kInitializing ||
       transition_ == TransitionKind::kStopRestart) {
-    // Stop-and-restart (or first start) waits for *all* workers as well.
-    bool all_workers = !workers_.empty();
-    for (const auto& w : workers_) {
-      if (!w->retired && !w->pod_running) all_workers = false;
+    // Stop-and-restart (or first start) waits for *all* workers as well
+    // (those that died meanwhile are no longer in the group).
+    bool all_workers = config_.num_workers > 0;
+    for (const auto& w : live_.workers) {
+      if (!w->pod_running) all_workers = false;
     }
     if (!all_workers) return;
 
@@ -239,10 +279,9 @@ void TrainingJob::TryDispatchAll() {
   }
 
   if (paused_) return;
-  for (auto& worker : workers_) {
-    if (worker->pod_running && !worker->retired && !worker->processing) {
-      StartNextShard(*worker);
-    }
+  RosterWalk walk(this);  // finishing the data retires every member
+  for (auto& worker : live_.workers) {
+    if (worker->pod_running && !worker->processing) StartNextShard(*worker);
   }
 }
 
@@ -262,7 +301,7 @@ StatusOr<DataShard> TrainingJob::NextShardFor(WorkerState& worker) {
 }
 
 void TrainingJob::StartNextShard(WorkerState& worker) {
-  if (finished() || paused_ || !worker.pod_running || worker.retired) return;
+  if (finished() || paused_ || !worker.pod_running) return;
   auto shard_or = NextShardFor(worker);
   if (!shard_or.ok()) {
     worker.processing = false;
@@ -298,8 +337,7 @@ IterationBreakdown TrainingJob::CachedIteration(int active_workers,
     // the vectors' capacity) and drop the per-speed entries.
     group_cache_.shares.clear();
     group_cache_.speeds.clear();
-    for (const auto& ps : ps_) {
-      if (ps->retired) continue;
+    for (const auto& ps : live_.ps) {
       const Pod* pod = cluster_->GetPod(ps->pod);
       group_cache_.shares.push_back(ps->share);
       group_cache_.speeds.push_back(pod != nullptr ? pod->speed_factor : 1.0);
@@ -464,9 +502,11 @@ uint64_t TrainingJob::batches_done() const {
 void TrainingJob::RepartitionStatic(uint64_t completed_prefix) {
   static_completed_ = completed_prefix;
   const uint64_t remaining = spec_.total_steps - completed_prefix;
+  // A restart nested in a roster walk rebuilds before the old members are
+  // compacted away, so skip them explicitly.
   std::vector<WorkerState*> active;
-  for (auto& w : workers_) {
-    if (!w->retired) active.push_back(w.get());
+  for (auto& w : live_.workers) {
+    if (w->role != Role::kRetired) active.push_back(w.get());
   }
   if (active.empty()) return;
   const uint64_t per = remaining / active.size();
@@ -484,54 +524,50 @@ void TrainingJob::RepartitionStatic(uint64_t completed_prefix) {
 void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
   InterruptWorker(worker);
   SetWorkerRunning(worker, false);
-  if (cluster_->control_channel() != nullptr) {
-    // A lossy control plane can deliver this worker's in-flight heartbeats
-    // after the master gave up on it; fence the id so a late packet cannot
-    // resurrect a ghost member (worker indices are never reused).
-    monitor_.FenceMember(static_cast<uint64_t>(worker.index));
-  } else {
-    monitor_.RemoveMember(static_cast<uint64_t>(worker.index));
-  }
+  // A lossy control plane can deliver this worker's in-flight heartbeats
+  // after the master gave up on it; fence the id so a late packet cannot
+  // resurrect a ghost member (worker indices are never reused). Without a
+  // channel nothing can arrive: the completion event is already cancelled.
+  monitor_.FenceMember(static_cast<uint64_t>(worker.index));
   // An owner-kill on a member we did NOT retire is an *external* deletion
   // (another controller / operator) — handle it like a crash. Every
   // job-initiated kill marks the member retired first.
-  if (worker.retired || reason == PodStopReason::kCompleted || finished()) {
+  if (worker.role == Role::kRetired || reason == PodStopReason::kCompleted ||
+      finished()) {
     return;
   }
   ++stats_.worker_failures;
 
   if (spec_.data_mode == DataMode::kDynamicSharding) {
     // The unfinished shard is already back in the queue; peers keep going.
-    RetireWorker(worker);
-    if (worker.replace_victim >= 0) {
+    // Retiring frees `worker` unless a roster walk is live: read it first.
+    const int replace_victim = worker.replace_victim;
+    const bool evacuating = worker.evacuating;
+    const uint64_t shard_limit = worker.shard_limit;
+    Retire(worker);
+    if (replace_victim >= 0) {
       // A make-before-break replacement died before its handoff. If the
       // victim is still alive, clear its evacuating mark so a later drain
       // tick retries, and do not auto-replace (the victim is still
       // training). If the victim died meanwhile, this replacement *was* its
       // relaunch — fall through to the normal auto-replace path.
-      WorkerState* victim = FindWorkerByIndex(worker.replace_victim);
-      worker.replace_victim = -1;
-      if (victim != nullptr && !victim->retired) {
+      if (WorkerState* victim = FindWorkerByIndex(replace_victim)) {
         victim->evacuating = false;
         return;
       }
-    } else if (worker.evacuating) {
+    } else if (evacuating) {
       // A staged replacement is already on its way for this worker; it
       // becomes the relaunch, so skip the normal auto-replace (otherwise
       // the job would grow a worker).
-      worker.evacuating = false;
       return;
     }
-    if (spec_.auto_replace_failed_workers &&
-        transition_ == TransitionKind::kNone) {
+    if (transition_ == TransitionKind::kNone) {
       const Duration delay = NextRelaunchDelay(&worker_relaunch_streak_);
-      const uint64_t shard_limit = worker.shard_limit;
       auto relaunch = [this, shard_limit] {
         if (finished() || transition_ != TransitionKind::kNone) return;
-        auto replacement = std::make_unique<WorkerState>();
-        replacement->index = next_worker_index_++;
-        replacement->shard_limit = shard_limit;
-        CreateWorkerPod(AdoptWorker(std::move(replacement)));
+        WorkerState& replacement = AddWorker(live_);
+        replacement.shard_limit = shard_limit;
+        CreateWorkerPod(replacement, config_);
       };
       if (delay <= 0.0) {
         relaunch();
@@ -551,7 +587,8 @@ void TrainingJob::OnWorkerStopped(WorkerState& worker, PodStopReason reason) {
 
 void TrainingJob::OnPsStopped(PsState& ps, PodStopReason reason) {
   ps.pod_running = false;
-  if (ps.retired || reason == PodStopReason::kCompleted || finished()) {
+  if (ps.role == Role::kRetired || reason == PodStopReason::kCompleted ||
+      finished()) {
     return;
   }
   ++stats_.ps_failures;
@@ -582,15 +619,24 @@ void TrainingJob::RecoverFromPsLoss(PsState& ps, bool was_oom) {
   }
   const Duration delay = NextRelaunchDelay(&ps_relaunch_streak_);
   if (delay <= 0.0) {
-    CreatePsPod(ps);  // reuse the same logical PS (same share)
+    CreatePsPod(ps, config_);  // reuse the same logical PS (same share)
   } else {
     stats_.downtime_waiting_pods += delay;
-    PsState* p = &ps;
-    sim_->ScheduleAfter(delay, [this, p] {
-      // A full restart in the meantime rebuilt the PS set; this recovery
-      // (and its PsState) is void then.
-      if (finished() || transition_ != TransitionKind::kPsRecovery) return;
-      CreatePsPod(*p);
+    // A full restart in the meantime rebuilt the PS set and freed this
+    // PsState, so the relaunch finds it again by epoch and index.
+    const uint64_t epoch = migration_epoch_;
+    const int index = ps.index;
+    sim_->ScheduleAfter(delay, [this, epoch, index] {
+      if (finished() || transition_ != TransitionKind::kPsRecovery ||
+          epoch != migration_epoch_) {
+        return;
+      }
+      for (auto& p : live_.ps) {
+        if (p->index == index) {
+          CreatePsPod(*p, config_);
+          return;
+        }
+      }
     });
   }
   InvalidateIterationCache();
@@ -614,33 +660,14 @@ void TrainingJob::RestartFromCheckpoint(const std::string& why) {
     static_completed_ = last_checkpoint_.trained_batches;
   }
 
+  // Kills the live and any staged deployment: a seamless migration
+  // interrupted by this restart must not wedge a future one.
   KillAllPods(false);
   restart_kill_time_ = sim_->Now();
-
-  // A seamless migration interrupted by this restart leaves staged pods
-  // behind; retire them so they cannot wedge a future migration.
-  for (auto& w : staged_workers_) retired_workers_.push_back(std::move(w));
-  staged_workers_.clear();
-  for (auto& p : staged_ps_) retired_ps_.push_back(std::move(p));
-  staged_ps_.clear();
   pending_config_.reset();
   ++migration_epoch_;
 
-  // Fresh pod sets with the current configuration.
-  workers_.clear();  // all retired by KillAllPods: none was counted
-  ps_.clear();
-  for (int i = 0; i < config_.num_workers; ++i) {
-    auto worker = std::make_unique<WorkerState>();
-    worker->index = next_worker_index_++;
-    CreateWorkerPod(AdoptWorker(std::move(worker)));
-  }
-  for (int i = 0; i < config_.num_ps; ++i) {
-    auto psn = std::make_unique<PsState>();
-    psn->index = next_ps_index_++;
-    psn->share = 1.0 / config_.num_ps;
-    ps_.push_back(std::move(psn));
-    CreatePsPod(*ps_.back());
-  }
+  Deploy(config_, {}, live_);
   if (spec_.data_mode == DataMode::kStaticPartition) {
     RepartitionStatic(static_completed_);
   }
@@ -672,19 +699,17 @@ Status TrainingJob::ApplyPlan(const JobConfig& new_config,
     const int delta = new_config.num_workers - config_.num_workers;
     if (delta > 0) {
       for (int i = 0; i < delta; ++i) {
-        auto worker = std::make_unique<WorkerState>();
-        worker->index = next_worker_index_++;
-        CreateWorkerPod(AdoptWorker(std::move(worker)));
+        CreateWorkerPod(AddWorker(live_), config_);
       }
     } else {
+      // Newest first. A kill can cascade into the crash path of a member
+      // not yet visited, which then shows up here already retired.
+      RosterWalk walk(this);
       int to_remove = -delta;
-      for (auto it = workers_.rbegin();
-           it != workers_.rend() && to_remove > 0; ++it) {
-        WorkerState& w = **it;
-        if (w.retired) continue;
-        InterruptWorker(w);
-        RetireWorker(w);
-        cluster_->KillPod(w.pod);
+      for (size_t i = live_.workers.size(); i-- > 0 && to_remove > 0;) {
+        WorkerState& w = *live_.workers[i];
+        if (w.role == Role::kRetired) continue;
+        Retire(w);
         --to_remove;
       }
     }
@@ -761,20 +786,7 @@ void TrainingJob::BeginStopAndRestart(const JobConfig& new_config) {
     restart_kill_time_ = sim_->Now();
     config_ = new_config;
     InvalidateIterationCache();
-    workers_.clear();  // all retired by KillAllPods: none was counted
-    ps_.clear();
-    for (int i = 0; i < config_.num_workers; ++i) {
-      auto worker = std::make_unique<WorkerState>();
-      worker->index = next_worker_index_++;
-      CreateWorkerPod(AdoptWorker(std::move(worker)));
-    }
-    for (int i = 0; i < config_.num_ps; ++i) {
-      auto psn = std::make_unique<PsState>();
-      psn->index = next_ps_index_++;
-      psn->share = 1.0 / config_.num_ps;
-      ps_.push_back(std::move(psn));
-      CreatePsPod(*ps_.back());
-    }
+    Deploy(config_, {}, live_);
     if (spec_.data_mode == DataMode::kStaticPartition) {
       RepartitionStatic(static_completed_);
     }
@@ -792,55 +804,14 @@ void TrainingJob::BeginSeamless(const JobConfig& new_config) {
   sim_->ScheduleAfter(Minutes(12),
                       [this, epoch] { AbortSeamlessIfStuck(epoch); });
   // Stage the full replacement deployment; old pods keep training.
-  for (int i = 0; i < new_config.num_workers; ++i) {
-    auto worker = std::make_unique<WorkerState>();
-    worker->index = next_worker_index_++;
-    staged_workers_.push_back(std::move(worker));
-    WorkerState& w = *staged_workers_.back();
-    PodSpec pod_spec;
-    pod_spec.name = spec_.name + "-worker-" + std::to_string(w.index);
-    pod_spec.request = new_config.WorkerRequest();
-    pod_spec.priority = PriorityClass::kTraining;
-    WorkerState* wp = &w;
-    w.pod = cluster_->CreatePod(
-        std::move(pod_spec), [this, wp](Pod&) { OnWorkerRunning(*wp); },
-        [this, wp](Pod&, PodStopReason reason) {
-          OnWorkerStopped(*wp, reason);
-        });
-  }
-  for (int i = 0; i < new_config.num_ps; ++i) {
-    auto psn = std::make_unique<PsState>();
-    psn->index = next_ps_index_++;
-    psn->share = 1.0 / new_config.num_ps;
-    staged_ps_.push_back(std::move(psn));
-    PsState& p = *staged_ps_.back();
-    PodSpec pod_spec;
-    pod_spec.name = spec_.name + "-ps-" + std::to_string(p.index);
-    pod_spec.request = new_config.PsRequest();
-    pod_spec.priority = PriorityClass::kTraining;
-    PsState* pp = &p;
-    p.pod = cluster_->CreatePod(
-        std::move(pod_spec), [this, pp](Pod&) { OnPsRunning(*pp); },
-        [this, pp](Pod&, PodStopReason reason) { OnPsStopped(*pp, reason); });
-  }
+  Deploy(new_config, {}, staged_);
 }
 
 void TrainingJob::AbortSeamlessIfStuck(uint64_t epoch) {
   if (finished()) return;
   if (transition_ != TransitionKind::kSeamless) return;
   if (epoch != migration_epoch_) return;  // that migration already ended
-  for (auto& w : staged_workers_) {
-    RetireWorker(*w);
-    if (w->pod != 0) cluster_->KillPod(w->pod);
-    retired_workers_.push_back(std::move(w));
-  }
-  staged_workers_.clear();
-  for (auto& p : staged_ps_) {
-    p->retired = true;
-    if (p->pod != 0) cluster_->KillPod(p->pod);
-    retired_ps_.push_back(std::move(p));
-  }
-  staged_ps_.clear();
+  RetireAll(staged_);
   pending_config_.reset();
   transition_ = TransitionKind::kNone;
   state_ = JobState::kRunning;
@@ -850,10 +821,17 @@ void TrainingJob::AbortSeamlessIfStuck(uint64_t epoch) {
 
 void TrainingJob::FinishMigrationIfReady() {
   if (transition_ != TransitionKind::kSeamless) return;
-  for (const auto& w : staged_workers_) {
+  // A staged member that died left the staged set; the migration then waits
+  // for its watchdog.
+  if (static_cast<int>(staged_.workers.size()) !=
+          pending_config_->num_workers ||
+      static_cast<int>(staged_.ps.size()) != pending_config_->num_ps) {
+    return;
+  }
+  for (const auto& w : staged_.workers) {
     if (!w->pod_running) return;
   }
-  for (const auto& p : staged_ps_) {
+  for (const auto& p : staged_.ps) {
     if (!p->pod_running) return;
   }
   // Everything staged is up: pause, hand over state via flash-checkpoint,
@@ -874,32 +852,20 @@ void TrainingJob::FinishMigrationIfReady() {
     last_checkpoint_.store =
         spec_.use_flash_checkpoint ? cache_.name() : rds_.name();
 
-    for (auto& w : workers_) {
-      if (!w->retired) {
-        InterruptWorker(*w);
-        RetireWorker(*w);
-        cluster_->KillPod(w->pod);
-      }
-      retired_workers_.push_back(std::move(w));
-    }
-    workers_.clear();
-    for (auto& p : ps_) {
-      if (!p->retired) {
-        p->retired = true;
-        cluster_->KillPod(p->pod);
-      }
-      retired_ps_.push_back(std::move(p));
-    }
-    ps_.clear();
-
-    workers_ = std::move(staged_workers_);
-    staged_workers_.clear();
-    for (auto& w : workers_) {
-      w->in_workers = true;
+    // Swap deployments: retire the old one, promote the staged one. The
+    // old members are compacted away when RetireAll returns.
+    RetireAll(live_);
+    for (auto& w : staged_.workers) {
+      w->role = Role::kLive;
       SyncActive(*w);
+      live_.workers.push_back(std::move(w));
     }
-    ps_ = std::move(staged_ps_);
-    staged_ps_.clear();
+    for (auto& p : staged_.ps) {
+      p->role = Role::kLive;
+      live_.ps.push_back(std::move(p));
+    }
+    staged_.workers.clear();
+    staged_.ps.clear();
     config_ = *pending_config_;
     pending_config_.reset();
     InvalidateIterationCache();
@@ -913,7 +879,7 @@ void TrainingJob::FinishMigrationIfReady() {
 void TrainingJob::PauseTraining() {
   if (paused_) return;
   paused_ = true;
-  for (auto& w : workers_) InterruptWorker(*w);
+  for (auto& w : live_.workers) InterruptWorker(*w);
 }
 
 void TrainingJob::ResumeTraining() {
@@ -930,13 +896,10 @@ void TrainingJob::ResumeTraining() {
 
 Status TrainingJob::SetWorkerShardLimit(int worker_index,
                                         uint64_t max_batches) {
-  for (auto& w : workers_) {
-    if (w->index == worker_index && !w->retired) {
-      w->shard_limit = max_batches;
-      return Status::OK();
-    }
-  }
-  return NotFoundError("no active worker with that index");
+  WorkerState* w = FindWorkerByIndex(worker_index);
+  if (w == nullptr) return NotFoundError("no active worker with that index");
+  w->shard_limit = max_batches;
+  return Status::OK();
 }
 
 int TrainingJob::MitigateStragglers() {
@@ -968,22 +931,18 @@ int TrainingJob::MitigateStragglers() {
     ControlChannel* ch = cluster_->control_channel();
     monitor_.ForEachMember([&](uint64_t member, const MemberHealth& health) {
       if (!health.flagged_straggler) return;
-      for (auto& w : workers_) {
-        if (static_cast<uint64_t>(w->index) != member) continue;
-        if (!w->retired && w->pod_running) {
-          if (ch != nullptr) {
-            // Verdicts cross the master -> brain hop, so a cell partition
-            // (brain unreachable) delays or loses them; the per-tick
-            // re-report from this loop makes the evidence self-healing.
-            const PodId pod = w->pod;
-            ch->Send(ControlMessageKind::kStragglerVerdict,
-                     ControlChannel::kMaster, ControlChannel::kBrain,
-                     [this, pod] { cluster_->ReportStragglerEvidence(pod); });
-          } else {
-            cluster_->ReportStragglerEvidence(w->pod);
-          }
-        }
-        break;
+      const WorkerState* w = FindWorkerByIndex(static_cast<int>(member));
+      if (w == nullptr || !w->pod_running) return;
+      if (ch != nullptr) {
+        // Verdicts cross the master -> brain hop, so a cell partition
+        // (brain unreachable) delays or loses them; the per-tick re-report
+        // from this loop makes the evidence self-healing.
+        const PodId pod = w->pod;
+        ch->Send(ControlMessageKind::kStragglerVerdict,
+                 ControlChannel::kMaster, ControlChannel::kBrain,
+                 [this, pod] { cluster_->ReportStragglerEvidence(pod); });
+      } else {
+        cluster_->ReportStragglerEvidence(w->pod);
       }
     });
   }
@@ -998,24 +957,23 @@ int TrainingJob::ReapSilentWorkers() {
   const std::vector<uint64_t> silent = monitor_.DetectFailures(sim_->Now());
   int reaped = 0;
   for (uint64_t member : silent) {
-    for (auto& w : workers_) {
-      if (static_cast<uint64_t>(w->index) != member) continue;
-      if (w->retired || !w->pod_running) break;
-      // The pod claims Running but reports nothing — half-dead. Kill it;
-      // OnWorkerStopped treats the owner-kill of a non-retired member as a
-      // crash, so the shard is requeued with partial credit and the worker
-      // replaced through the normal (backoff-aware) path.
-      cluster_->KillPod(w->pod);
-      ++reaped;
-      break;
-    }
+    const WorkerState* w = FindWorkerByIndex(static_cast<int>(member));
+    if (w == nullptr || !w->pod_running) continue;
+    // The pod claims Running but reports nothing — half-dead. Kill it;
+    // OnWorkerStopped treats the owner-kill of a non-retired member as a
+    // crash, so the shard is requeued with partial credit and the worker
+    // replaced through the normal (backoff-aware) path.
+    cluster_->KillPod(w->pod);
+    ++reaped;
   }
   return reaped;
 }
 
 TrainingJob::WorkerState* TrainingJob::FindWorkerByIndex(int index) {
-  for (auto& w : workers_) {
-    if (w->index == index) return w.get();
+  for (auto& w : live_.workers) {
+    if (w->index == index) {
+      return w->role == Role::kRetired ? nullptr : w.get();
+    }
   }
   return nullptr;
 }
@@ -1030,8 +988,7 @@ int TrainingJob::EvacuateDrainingPods() {
   // the node because placement excludes cordoned nodes, and training pauses
   // only for the checkpoint handoff.
   bool ps_draining = false;
-  for (const auto& ps : ps_) {
-    if (ps->retired || ps->pod == 0) continue;
+  for (const auto& ps : live_.ps) {
     const Pod* pod = cluster_->GetPod(ps->pod);
     if (pod != nullptr && !pod->terminal() && cluster_->IsDraining(pod->node)) {
       ps_draining = true;
@@ -1058,11 +1015,12 @@ int TrainingJob::EvacuateDrainingPods() {
   drain_attempts_ = 0;
   // Workers evacuate one-for-one, make-before-break: stage a replacement
   // now, stop the victim only when it reaches Running (see OnWorkerRunning).
+  RosterWalk walk(this);
   int staged = 0;
-  const size_t count = workers_.size();  // replacements append; skip them
+  const size_t count = live_.workers.size();  // replacements append: skip
   for (size_t i = 0; i < count; ++i) {
-    WorkerState& victim = *workers_[i];
-    if (victim.retired || !victim.pod_running || victim.evacuating ||
+    WorkerState& victim = *live_.workers[i];
+    if (!victim.pod_running || victim.evacuating ||
         victim.replace_victim >= 0) {
       continue;
     }
@@ -1070,12 +1028,11 @@ int TrainingJob::EvacuateDrainingPods() {
     if (pod == nullptr || pod->terminal()) continue;
     if (!cluster_->IsDraining(pod->node)) continue;
     victim.evacuating = true;
-    auto replacement = std::make_unique<WorkerState>();
-    replacement->index = next_worker_index_++;
-    replacement->shard_limit = victim.shard_limit;
-    replacement->replace_victim = victim.index;
-    const int repl_index = replacement->index;
-    CreateWorkerPod(AdoptWorker(std::move(replacement)));
+    WorkerState& replacement = AddWorker(live_);
+    replacement.shard_limit = victim.shard_limit;
+    replacement.replace_victim = victim.index;
+    const int repl_index = replacement.index;
+    CreateWorkerPod(replacement, config_);
     // Scarcity fallback: if the replacement has not reached Running by the
     // deadline, give up on make-before-break for this worker.
     const int victim_index = victim.index;
@@ -1093,21 +1050,19 @@ void TrainingJob::DrainFallback(int victim_index, int replacement_index) {
   WorkerState* replacement = FindWorkerByIndex(replacement_index);
   // Handoff already happened, the replacement died (its stop handler reset
   // the victim), or a restart rebuilt the worker set: nothing to do.
-  if (replacement == nullptr || replacement->retired ||
-      replacement->pod_running || replacement->replace_victim < 0) {
+  if (replacement == nullptr || replacement->pod_running ||
+      replacement->replace_victim < 0) {
     return;
   }
   // Still pending after the deadline: scarcity. Abandon make-before-break —
   // retire the stuck replacement and stop-and-restart the victim through the
   // normal crash path (auto-replace, backoff-aware, off-node placement).
   ++stats_.drain_fallbacks;
-  RetireWorker(*replacement);
   replacement->replace_victim = -1;
-  if (replacement->pod != 0) cluster_->KillPod(replacement->pod);
-  WorkerState* victim = FindWorkerByIndex(victim_index);
-  if (victim != nullptr && !victim->retired) {
+  Retire(*replacement);
+  if (WorkerState* victim = FindWorkerByIndex(victim_index)) {
     victim->evacuating = false;
-    if (victim->pod != 0) cluster_->KillPod(victim->pod);
+    cluster_->KillPod(victim->pod);
   }
 }
 
@@ -1180,37 +1135,29 @@ void TrainingJob::KillAllPods(bool graceful) {
   // preemptions) into stop callbacks for *this job's other pods*. Marking
   // everything retired first makes those callbacks no-ops, so the kill loop
   // cannot re-enter restart/recovery logic mid-iteration.
-  auto retire_all = [](auto& members) {
-    for (auto& m : members) m->retired = true;
-  };
-  retire_all(workers_);
-  retire_all(ps_);
-  retire_all(staged_workers_);
-  retire_all(staged_ps_);
-  for (auto& w : workers_) SyncActive(*w);
-  InvalidateIterationCache();
-  auto kill_all = [&](auto& members) {
-    for (auto& m : members) {
-      if (m->pod != 0) cluster_->KillPod(m->pod, graceful);
+  RosterWalk walk(this);
+  for (Deployment* d : {&live_, &staged_}) {
+    for (auto& w : d->workers) {
+      w->role = Role::kRetired;
+      SyncActive(*w);
     }
-  };
-  kill_all(workers_);
-  kill_all(ps_);
-  kill_all(staged_workers_);
-  kill_all(staged_ps_);
+    for (auto& p : d->ps) p->role = Role::kRetired;
+  }
+  InvalidateIterationCache();
+  RetireAll(live_, graceful);
+  RetireAll(staged_, graceful);
 }
 
 int TrainingJob::CountActiveWorkers() const {
   int count = 0;
-  for (const auto& w : workers_) {
-    if (w->pod_running && !w->retired) ++count;
+  for (const auto& w : live_.workers) {
+    if (w->pod_running && w->role == Role::kLive) ++count;
   }
   return count;
 }
 
 void TrainingJob::SyncActive(WorkerState& worker) {
-  const bool active =
-      worker.in_workers && worker.pod_running && !worker.retired;
+  const bool active = worker.role == Role::kLive && worker.pod_running;
   if (active == worker.counted) return;
   worker.counted = active;
   active_workers_ += active ? 1 : -1;
@@ -1221,19 +1168,6 @@ void TrainingJob::SetWorkerRunning(WorkerState& worker, bool running) {
   SyncActive(worker);
 }
 
-void TrainingJob::RetireWorker(WorkerState& worker) {
-  worker.retired = true;
-  SyncActive(worker);
-}
-
-TrainingJob::WorkerState& TrainingJob::AdoptWorker(
-    std::unique_ptr<WorkerState> worker) {
-  worker->in_workers = true;
-  workers_.push_back(std::move(worker));
-  SyncActive(*workers_.back());
-  return *workers_.back();
-}
-
 Bytes TrainingJob::MaxPsMemory() const {
   // Memory is spread evenly across PSes: a "hot" PS is a *compute*
   // hotspot (frequently accessed tensors), not necessarily a larger slice
@@ -1241,12 +1175,9 @@ Bytes TrainingJob::MaxPsMemory() const {
   const Bytes emb = profile_.EmbeddingBytesAt(
       static_cast<double>(batches_done()) *
       static_cast<double>(spec_.batch_size));
-  int live = 0;
-  for (const auto& ps : ps_) {
-    if (!ps->retired) ++live;
-  }
-  if (live == 0) return profile_.ps_static_bytes;
-  return profile_.ps_static_bytes + emb / static_cast<double>(live);
+  if (live_.ps.empty()) return profile_.ps_static_bytes;
+  return profile_.ps_static_bytes +
+         emb / static_cast<double>(live_.ps.size());
 }
 
 Bytes TrainingJob::ModelBytes() const {
@@ -1324,8 +1255,8 @@ void TrainingJob::UpdateMemoryAndUsage() {
       1.0 / std::max<size_t>(1, group.shares.size());
   std::vector<PsState*>& live_ps = live_ps_scratch_;
   live_ps.clear();
-  for (auto& ps : ps_) {
-    if (!ps->retired && ps->pod_running) live_ps.push_back(ps.get());
+  for (auto& ps : live_.ps) {
+    if (ps->pod_running) live_ps.push_back(ps.get());
   }
   for (PsState* ps : live_ps) {
     Pod* pod = cluster_->GetMutablePod(ps->pod);
@@ -1344,8 +1275,8 @@ void TrainingJob::UpdateMemoryAndUsage() {
   }
 
   // Workers: CPU busy during gradient computation; memory is a working set.
-  for (auto& w : workers_) {
-    if (w->retired || !w->pod_running) continue;
+  for (auto& w : live_.workers) {
+    if (!w->pod_running) continue;
     Pod* pod = cluster_->GetMutablePod(w->pod);
     if (pod == nullptr) continue;
     const IterationBreakdown mine = CachedIteration(active, pod->speed_factor);
@@ -1359,6 +1290,7 @@ void TrainingJob::UpdateMemoryAndUsage() {
   }
 
   // OOM semantics: a PS whose usage exceeds its limit is OOM-killed.
+  RosterWalk walk(this);  // recovery may restart the job under `live_ps`
   for (PsState* ps : live_ps) {
     Pod* pod = cluster_->GetMutablePod(ps->pod);
     if (pod == nullptr) continue;
@@ -1402,8 +1334,8 @@ void TrainingJob::ProfileTick() {
   double w_used = 0.0, w_alloc = 0.0, p_used = 0.0, p_alloc = 0.0;
   double w_mem_used = 0.0, w_mem_alloc = 0.0;
   double p_mem_used = 0.0, p_mem_alloc = 0.0;
-  for (const auto& w : workers_) {
-    if (w->retired || !w->pod_running) continue;
+  for (const auto& w : live_.workers) {
+    if (!w->pod_running) continue;
     const Pod* pod = cluster_->GetPod(w->pod);
     if (pod == nullptr) continue;
     w_used += pod->usage.cpu;
@@ -1411,8 +1343,8 @@ void TrainingJob::ProfileTick() {
     w_mem_used += pod->usage.memory;
     w_mem_alloc += pod->spec.request.memory;
   }
-  for (const auto& p : ps_) {
-    if (p->retired || !p->pod_running) continue;
+  for (const auto& p : live_.ps) {
+    if (!p->pod_running) continue;
     const Pod* pod = cluster_->GetPod(p->pod);
     if (pod == nullptr) continue;
     p_used += pod->usage.cpu;
@@ -1470,8 +1402,8 @@ void TrainingJob::MaybeReportPsSlowdown() {
   }
   if (++ps_slowdown_streak_ < 3) return;
   ControlChannel* ch = cluster_->control_channel();
-  for (const auto& p : ps_) {
-    if (p->retired || !p->pod_running || p->pod == 0) continue;
+  for (const auto& p : live_.ps) {
+    if (!p->pod_running) continue;
     const PodId pod = p->pod;
     if (ch != nullptr) {
       ch->Send(ControlMessageKind::kStragglerVerdict, ControlChannel::kMaster,

@@ -64,8 +64,6 @@ struct JobSpec {
   uint64_t total_steps = 200000;  // total batches across all workers
   DataMode data_mode = DataMode::kDynamicSharding;
 
-  /// Replace crashed workers with fresh pods (dynamic sharding only).
-  bool auto_replace_failed_workers = true;
   /// Use the in-memory flash-checkpoint tier (vs. RDS) for migrations and
   /// PS recovery.
   bool use_flash_checkpoint = true;
@@ -281,6 +279,13 @@ class TrainingJob {
   /// The same count by a scan over the worker group (the reference the
   /// cached count is tested against).
   int CountActiveWorkers() const;
+  /// Workers and PSes the job holds, live and staged. Between the job's own
+  /// calls these are the members whose pods are not terminal, plus PSes
+  /// waiting out a relaunch backoff.
+  size_t RosterSize() const {
+    return live_.workers.size() + live_.ps.size() + staged_.workers.size() +
+           staged_.ps.size();
+  }
   /// Current memory usage of the most loaded PS.
   Bytes MaxPsMemory() const;
   /// Current model size (dense + embeddings), i.e., checkpoint payload.
@@ -295,12 +300,20 @@ class TrainingJob {
   std::function<void(TrainingJob&)> on_finished;
 
  private:
+  /// A member's place in the job. Staged members belong to a seamless
+  /// migration's target deployment and serve nothing yet; live members
+  /// serve; retired members were killed by the job and leave their roster
+  /// at the next CompactRosters.
+  enum class Role : uint8_t { kStaged, kLive, kRetired };
+
   struct WorkerState {
     int index = 0;
     PodId pod = 0;
+    Role role = Role::kLive;
     bool pod_running = false;
-    bool retired = false;  // scaled down / replaced; kill is expected
     bool processing = false;
+    /// Whether active_workers_ counts this worker (see SyncActive).
+    bool counted = false;
     std::optional<DataShard> shard;
     EventId completion_event = 0;
     SimTime shard_start = 0.0;
@@ -312,10 +325,6 @@ class TrainingJob {
     // its replacement is staged.
     int replace_victim = -1;
     bool evacuating = false;
-    // Active-count bookkeeping (see SyncActive): whether the worker belongs
-    // to the current group workers_, and whether active_workers_ counts it.
-    bool in_workers = false;
-    bool counted = false;
     // Static-partition mode: owned range.
     uint64_t part_cursor = 0;
     uint64_t part_end = 0;
@@ -323,14 +332,55 @@ class TrainingJob {
   struct PsState {
     int index = 0;
     PodId pod = 0;
+    Role role = Role::kLive;
     bool pod_running = false;
-    bool retired = false;
     double share = 0.0;
   };
+  /// The workers and PSes of one JobConfig: the serving group, or the
+  /// target set a seamless migration stages beside it.
+  struct Deployment {
+    std::vector<std::unique_ptr<WorkerState>> workers;
+    std::vector<std::unique_ptr<PsState>> ps;
+  };
 
-  // Pod lifecycle plumbing.
-  void CreateWorkerPod(WorkerState& worker);
-  void CreatePsPod(PsState& ps);
+  /// Held by every frame that walks a roster, or keeps a member reference,
+  /// across a call that can retire members: any pod kill or creation can,
+  /// through stop callbacks that cascade from freed capacity. Retired
+  /// members stay in place while a walk is held and are freed when the
+  /// last one is released.
+  class RosterWalk {
+   public:
+    explicit RosterWalk(TrainingJob* job) : job_(job) { ++job_->roster_walks_; }
+    ~RosterWalk() {
+      if (--job_->roster_walks_ == 0) job_->CompactRosters();
+    }
+    RosterWalk(const RosterWalk&) = delete;
+    RosterWalk& operator=(const RosterWalk&) = delete;
+
+   private:
+    TrainingJob* job_;
+  };
+
+  // Deployments and pod lifecycle plumbing.
+  /// Builds `config`'s members into `into` and submits their pods, all
+  /// workers first, then all PSes. PS shares follow `shares` (normalised)
+  /// when it has one entry per PS, else they are balanced.
+  void Deploy(const JobConfig& config, const std::vector<double>& shares,
+              Deployment& into);
+  /// Appends a fresh worker (next index, no pod yet) to `into`.
+  WorkerState& AddWorker(Deployment& into);
+  void CreateWorkerPod(WorkerState& worker, const JobConfig& config);
+  void CreatePsPod(PsState& ps, const JobConfig& config);
+  /// The one retire path: marks the member retired, stops its work and
+  /// kills its pod (a no-op when the pod is already terminal).
+  void Retire(WorkerState& worker, bool graceful = false);
+  void Retire(PsState& ps, bool graceful = false);
+  void RetireAll(Deployment& deployment, bool graceful = false);
+  /// Frees retired members. Runs only when no RosterWalk is held; nothing
+  /// else refers to a retired member by then, because its pod is terminal
+  /// (stop callbacks ran synchronously inside the kill) and its completion
+  /// event was cancelled.
+  void CompactRosters();
   void OnWorkerRunning(WorkerState& worker);
   void OnWorkerStopped(WorkerState& worker, PodStopReason reason);
   void OnPsRunning(PsState& ps);
@@ -339,15 +389,13 @@ class TrainingJob {
   /// Advances `streak` and returns how long to wait before the next
   /// relaunch of that role (0 when backoff is disabled).
   Duration NextRelaunchDelay(int* streak);
+  /// The live (not retired) worker with that index, or nullptr.
   WorkerState* FindWorkerByIndex(int index);
   /// Flag flips and group changes go through these so active_workers_
   /// follows them in O(1): SyncActive re-derives one worker's membership in
   /// the count and adjusts the count by the difference.
   void SyncActive(WorkerState& worker);
   void SetWorkerRunning(WorkerState& worker, bool running);
-  void RetireWorker(WorkerState& worker);
-  /// Appends a worker to the current group (workers_) and returns it.
-  WorkerState& AdoptWorker(std::unique_ptr<WorkerState> worker);
   /// Scarcity fallback for a stuck make-before-break handoff (see
   /// EvacuateDrainingPods).
   void DrainFallback(int victim_index, int replacement_index);
@@ -417,10 +465,16 @@ class TrainingJob {
   Rng rng_;
 
   JobState state_ = JobState::kInitializing;
-  std::vector<std::unique_ptr<WorkerState>> workers_;
+  /// The serving deployment. Between a retirement and the end of the
+  /// outermost RosterWalk it may still hold the retired members; otherwise
+  /// it holds live members only.
+  Deployment live_;
   /// Workers with `counted` set; equals CountActiveWorkers().
   int active_workers_ = 0;
-  std::vector<std::unique_ptr<PsState>> ps_;
+  /// RosterWalks held; whether a member was retired since the last
+  /// CompactRosters.
+  int roster_walks_ = 0;
+  bool has_retired_ = false;
   std::unique_ptr<ShardQueue> shard_queue_;  // dynamic mode
   uint64_t static_completed_ = 0;            // static mode: finished batches
   HeartbeatMonitor monitor_;
@@ -441,10 +495,8 @@ class TrainingJob {
   bool paused_ = false;
   TransitionKind transition_ = TransitionKind::kNone;
   std::optional<JobConfig> pending_config_;
-  std::vector<std::unique_ptr<WorkerState>> staged_workers_;
-  std::vector<std::unique_ptr<PsState>> staged_ps_;
-  std::vector<std::unique_ptr<WorkerState>> retired_workers_;
-  std::vector<std::unique_ptr<PsState>> retired_ps_;
+  /// The seamless migration's target deployment (empty otherwise).
+  Deployment staged_;
   SimTime restart_kill_time_ = 0.0;
   /// Last OOM-prevention scale-up; throttles repeated bumps.
   SimTime last_oom_scale_ = -1.0e18;

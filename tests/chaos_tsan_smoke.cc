@@ -1,7 +1,7 @@
 // Chaos smoke test compiled with -fsanitize=thread regardless of the global
-// build flags (see tests/CMakeLists.txt): it recompiles the fault-tolerant
-// threaded trainer — supervisor thread, commit gate, checkpoint vault,
-// chaos injector — directly into an instrumented binary, so tier-1 `ctest`
+// build flags (see tests/CMakeLists.txt): it links an instrumented copy of
+// the fault-tolerant threaded trainer — supervisor thread, commit gate,
+// checkpoint vault, chaos injector — so tier-1 `ctest`
 // runs the recovery machinery's synchronization under ThreadSanitizer even
 // on plain builds. No gtest here: TSan makes the process exit nonzero when
 // it reports a race, logic failures return 1.

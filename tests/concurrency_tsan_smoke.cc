@@ -1,7 +1,7 @@
 // Concurrency smoke test compiled with -fsanitize=thread regardless of the
-// global build flags (see tests/CMakeLists.txt): it recompiles the
-// threading-sensitive sources — ThreadPool, ShardQueue, EmbStore — directly
-// into an instrumented binary, so tier-1 `ctest` always runs the hot
+// global build flags (see tests/CMakeLists.txt): it links the instrumented
+// dlrover_tsan library and drives the threading-sensitive classes —
+// ThreadPool, ShardQueue, EmbStore — so tier-1 `ctest` always runs the hot
 // synchronization paths under ThreadSanitizer. No gtest here: TSan makes
 // the process exit nonzero when it reports a race, logic failures return 1.
 

@@ -1,8 +1,8 @@
 // Control-plane smoke test compiled with -fsanitize=thread regardless of
-// the global build flags (see tests/CMakeLists.txt): it recompiles the
-// fleet stack — including the ControlChannel message layer, the partition/
-// master-crash injector arm and the plan-fencing paths — into an
-// instrumented binary and runs a partition-chaos campaign on multi-lane
+// the global build flags (see tests/CMakeLists.txt): it links an
+// instrumented copy of the fleet stack — including the ControlChannel
+// message layer, the partition/master-crash injector arm and the
+// plan-fencing paths — and runs a partition-chaos campaign on multi-lane
 // sharded fleets, so tier-1 `ctest` exercises drops, duplicates, reorder,
 // partitions and master failover under ThreadSanitizer. It also re-checks,
 // while instrumented, that lane count changes nothing: the control event

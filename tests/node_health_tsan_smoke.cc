@@ -1,7 +1,7 @@
 // Node-health smoke test compiled with -fsanitize=thread regardless of the
-// global build flags (see tests/CMakeLists.txt): it recompiles the fleet
-// stack — including the node-health control plane, the grey-fault injector
-// and the drain-migration path — into an instrumented binary and runs a
+// global build flags (see tests/CMakeLists.txt): it links an instrumented
+// copy of the fleet stack — including the node-health control plane, the
+// grey-fault injector and the drain-migration path — and runs a
 // grey-fault campaign on multi-lane sharded fleets, so tier-1 `ctest`
 // exercises cordon/drain/uncordon and the audit logs under ThreadSanitizer.
 // It also re-checks, while instrumented, that lane count changes nothing:

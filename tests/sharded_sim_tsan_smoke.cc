@@ -1,6 +1,6 @@
 // Sharded-engine smoke test compiled with -fsanitize=thread regardless of
-// the global build flags (see tests/CMakeLists.txt): it recompiles the
-// sharded event core and the fleet runner into an instrumented binary and
+// the global build flags (see tests/CMakeLists.txt): it links an
+// instrumented copy of the sharded event core and the fleet runner and
 // advances multi-cell fleets on a real thread pool, so tier-1 `ctest`
 // exercises the conservative window protocol — parallel shard advancement,
 // per-shard outbox writes, barrier commit — under ThreadSanitizer. The

@@ -1,7 +1,7 @@
 // Sweep smoke test compiled with -fsanitize=thread regardless of the global
-// build flags (see tests/CMakeLists.txt): it recompiles the whole scenario
-// stack — simulator, cluster, training job, brain, baselines, harness —
-// into an instrumented binary and runs a small multi-threaded sweep, so
+// build flags (see tests/CMakeLists.txt): it links an instrumented copy of
+// the whole scenario stack — simulator, cluster, training job, brain,
+// baselines, harness — and runs a small multi-threaded sweep, so
 // tier-1 `ctest` exercises the concurrent sweep path (shared ConfigDb
 // cache, WellTunedConfig statics, brains running NSGA-II in concurrent
 // scenarios) under ThreadSanitizer. No gtest here: TSan makes the process exit nonzero when

@@ -426,5 +426,153 @@ TEST(TrainingJobTest, ActiveWorkerCountMatchesScanThroughEveryTransition) {
   EXPECT_EQ(mismatches, 0);
 }
 
+/// Pods of the job that are not terminal, optionally only those whose name
+/// contains `role` ("-worker-" or "-ps-").
+int LivePods(const Cluster& cluster, const char* role = "") {
+  int count = 0;
+  cluster.VisitPods([&](const Pod& pod) {
+    if (!pod.terminal() && pod.spec.name.find(role) != std::string::npos) {
+      ++count;
+    }
+  });
+  return count;
+}
+
+std::vector<PodId> RunningPsPods(const Cluster& cluster) {
+  std::vector<PodId> ids;
+  cluster.VisitPods([&](const Pod& pod) {
+    if (pod.phase == PodPhase::kRunning &&
+        pod.spec.name.find("-ps-") != std::string::npos) {
+      ids.push_back(pod.id);
+    }
+  });
+  return ids;
+}
+
+// A PS relaunch delayed by backoff must not outlive the PsState it was
+// scheduled for. Sequence: PS A is lost and its relaunch waits; PS B is lost
+// during that recovery, which forces a full restart (the PS set is rebuilt
+// and A's state freed); the restart completes; PS C of the new set is lost,
+// so the job is in PS recovery again when A's relaunch fires. That relaunch
+// must do nothing: no pod for a PS the job no longer has.
+TEST(TrainingJobTest, DelayedPsRelaunchDoesNotOutliveARestart) {
+  Simulator sim;
+  Cluster cluster(&sim, SmallCluster());
+  JobSpec spec = QuickSpec(60000);
+  spec.relaunch_backoff_base = Minutes(4);
+  spec.relaunch_backoff_cap = Minutes(8);
+  JobConfig config = TunedConfig();
+  config.num_ps = 3;
+  TrainingJob job(&sim, &cluster, spec, config);
+  job.Start();
+  sim.RunUntil(Minutes(5));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+
+  std::vector<PodId> ps = RunningPsPods(cluster);
+  ASSERT_EQ(ps.size(), 3u);
+  const SimTime lost_a = sim.Now();
+  Duration waited = job.stats().downtime_waiting_pods;
+  cluster.FailPod(ps[0], PodStopReason::kCrash);
+  const Duration delay_a = job.stats().downtime_waiting_pods - waited;
+  ASSERT_GT(delay_a, 0.0);
+  ASSERT_EQ(job.state(), JobState::kRestoring);
+  cluster.FailPod(ps[1], PodStopReason::kCrash);
+  ASSERT_EQ(job.stats().full_restarts, 1);
+
+  while (job.state() != JobState::kRunning &&
+         sim.Now() < lost_a + Minutes(10)) {
+    sim.RunUntil(sim.Now() + Seconds(1));
+  }
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  const SimTime lost_c = sim.Now();
+  ps = RunningPsPods(cluster);
+  ASSERT_EQ(ps.size(), 3u);
+  waited = job.stats().downtime_waiting_pods;
+  cluster.FailPod(ps[0], PodStopReason::kCrash);
+  const Duration delay_c = job.stats().downtime_waiting_pods - waited;
+  // A's relaunch comes due while C's recovery still waits.
+  ASSERT_LT(lost_c, lost_a + delay_a);
+  ASSERT_LT(lost_a + delay_a, lost_c + delay_c);
+
+  sim.RunUntil(lost_a + delay_a + Seconds(1));
+  EXPECT_EQ(job.state(), JobState::kRestoring);
+  EXPECT_EQ(LivePods(cluster, "-ps-"), 2) << "stale relaunch created a pod";
+  sim.RunUntil(Hours(12));
+  ASSERT_EQ(job.state(), JobState::kCompleted);
+  EXPECT_EQ(job.stats().ps_failures, 3);
+  EXPECT_EQ(LivePods(cluster), 0);
+}
+
+// Retired members leave the rosters: through crash-relaunches, a scale-in
+// and a make-before-break drain, every member the job holds has a pod that
+// is not terminal, and a finished job holds none.
+TEST(TrainingJobTest, RosterHoldsOnlyLiveMembers) {
+  Simulator sim;
+  ClusterOptions options;
+  options.num_nodes = 4;
+  options.node_capacity = {32.0, GiB(192)};
+  Cluster cluster(&sim, options);
+  TrainingJob job(&sim, &cluster, QuickSpec(400000), TunedConfig());
+  auto check = [&](const char* step) {
+    EXPECT_EQ(job.RosterSize(), static_cast<size_t>(LivePods(cluster)))
+        << step;
+    EXPECT_EQ(job.ActiveWorkerCount(), job.CountActiveWorkers()) << step;
+  };
+  auto run_for = [&](Duration d) { sim.RunUntil(sim.Now() + d); };
+
+  job.Start();
+  run_for(Minutes(5));
+  ASSERT_EQ(job.state(), JobState::kRunning);
+  check("start");
+
+  for (int round = 0; round < 6; ++round) {
+    const std::vector<PodId> targets = RunningWorkerPods(cluster);
+    ASSERT_FALSE(targets.empty());
+    cluster.FailPod(targets.front(), PodStopReason::kCrash);
+    check("crash");
+    run_for(Minutes(2));
+    check("relaunched");
+  }
+  EXPECT_EQ(job.stats().worker_failures, 6);
+  EXPECT_EQ(job.ActiveWorkerCount(), 8);
+
+  JobConfig plan = job.config();
+  plan.num_workers = 5;
+  ASSERT_TRUE(job.ApplyPlan(plan, MigrationMode::kSeamless).ok());
+  check("scale in");
+  EXPECT_EQ(job.RosterSize(), 5u + 2u);
+
+  // Drain the node hosting the most workers.
+  NodeId drained = 0;
+  int most = 0;
+  for (size_t n = 0; n < cluster.num_nodes(); ++n) {
+    int here = 0;
+    cluster.VisitPods([&](const Pod& pod) {
+      if (!pod.terminal() && pod.node == static_cast<NodeId>(n) &&
+          pod.spec.name.find("worker") != std::string::npos) {
+        ++here;
+      }
+    });
+    if (here > most) {
+      most = here;
+      drained = static_cast<NodeId>(n);
+    }
+  }
+  ASSERT_GT(most, 0);
+  cluster.DrainNode(drained);
+  EXPECT_EQ(job.EvacuateDrainingPods(), most);
+  check("drain staged");
+  EXPECT_EQ(job.RosterSize(), 5u + 2u + static_cast<size_t>(most));
+  run_for(Minutes(5));
+  check("drained");
+  EXPECT_EQ(job.stats().drain_migrations, most);
+  EXPECT_EQ(job.RosterSize(), 5u + 2u);
+  cluster.UncordonNode(drained);
+
+  run_for(Hours(12));
+  ASSERT_EQ(job.state(), JobState::kCompleted);
+  EXPECT_EQ(job.RosterSize(), 0u);
+}
+
 }  // namespace
 }  // namespace dlrover
